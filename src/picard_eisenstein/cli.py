@@ -15,9 +15,9 @@ from math import exp, log, pi, sqrt
 
 import numpy as np
 
-from .eisenstein import (GAMMA_GENERATORS, SeriesParams, TestFunctionPsi,
-                         TruncationConfig, eisenstein_coset_sum,
-                         eisenstein_fourier_group, f_seed)
+from .eisenstein import (SeriesParams, TestFunctionPsi, TruncationConfig,
+                         eisenstein_coset_sum, eisenstein_fourier_group,
+                         f_seed)
 from .gaussian import (GaussInt, divisors, enumerate_coset_reps, factor_gauss,
                        gauss_xgcd, gaussian_primes, is_coprime)
 from .h3 import GroupElementSL2C, H3Point
@@ -39,7 +39,6 @@ from .su2 import (SpectralIndex, euler_decompose, haar_grid, random_su2,
 class RunConfig:
     coset_norm_bound: int = 1000
     lattice_norm_bound: int = 400
-    tol: float = 1e-8
     out: str = ""
     format: str = "csv"
     seed: int = 20210
@@ -51,8 +50,6 @@ class RunConfig:
             raise ValueError("truncation bounds must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
 
 
 def build_config(args) -> RunConfig:
@@ -70,7 +67,7 @@ def build_config(args) -> RunConfig:
         merged.update(data)
     for field, flag in (("coset_norm_bound", "coset_bound"),
                         ("lattice_norm_bound", "lattice_bound"),
-                        ("tol", "tol"), ("out", "out"), ("format", "format"),
+                        ("out", "out"), ("format", "format"),
                         ("seed", "seed"),
                         ("index_gamma_inf", "index_gamma_inf"),
                         ("workers", "workers")):
@@ -461,7 +458,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--coset-bound", dest="coset_bound", type=int)
         p.add_argument("--lattice-bound", dest="lattice_bound", type=int)
-        p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--index-gamma-inf", dest="index_gamma_inf", type=int)
         p.add_argument("--workers", type=int)

@@ -2,7 +2,8 @@
 function on the group, truncated coset-sum evaluation (absolutely convergent
 half-plane) with a rigorous tail estimate, the Fourier-Bessel expansion of
 the same series (usable down to the critical line, where it serves as the
-definition of the continued series), incomplete series smoothed by a test
+definition of the continued series) with the one vectorized evaluator that
+every expansion route goes through, incomplete series smoothed by a test
 function on the height axis -- evaluated both as a literal coset sum and as
 a Mellin contour integral -- and the test-function / Mellin-transform pair.
 
@@ -16,9 +17,9 @@ half-integer lattice; a frequency is stored as the Gaussian integer 2w.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import comb, exp, factorial, log, pi, sqrt
+from math import exp, log, pi, sqrt
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .gaussian import GaussInt, canonical_associate, factor_gauss
 from .h3 import GroupElementSL2C, H3Point, iwasawa_decompose
 from .lseries import _lattice_arrays, l_function_continued, sigma_twisted
 from .specfun import bessel_k_complex_array, gamma_complex
-from .su2 import SpectralIndex, wigner_D_su2
+from .su2 import (SpectralIndex, b_factor, wigner_D_su2, wigner_monomial,
+                  xi_weight)
 
 _UNITS_C = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
@@ -86,52 +88,6 @@ def f_seed(index: SpectralIndex, g: GroupElementSL2C, s: complex) -> complex:
     return complex(d).conjugate() * co.height ** (1.0 + complex(s))
 
 
-def xi_coefficient(l: int, k: int, v: int, u: int) -> float:
-    """The combinatorial weight
-    u!(2l-u)!/((l+k)!(l-k)!) * C(l-(|v+k|+|v-k|)/2, u) * C(l-(|v+k|-|v-k|)/2, u),
-    exact integer arithmetic converted to float at the end."""
-    if abs(k) > l or abs(v) > l:
-        raise ValueError("indices must satisfy |k|, |v| <= l")
-    hi = abs(v + k) + abs(v - k)
-    lo = abs(v + k) - abs(v - k)
-    # both combinations are even for integer v, k
-    n1 = l - hi // 2
-    n2 = l - lo // 2
-    if not 0 <= u <= n1:
-        raise ValueError(f"u = {u} outside the summation range [0, {n1}]")
-    num = factorial(u) * factorial(2 * l - u) * comb(n1, u) * comb(n2, u)
-    den = factorial(l + k) * factorial(l - k)
-    return num / den
-
-
-def b_coefficient(l: int, k: int, m: int) -> float:
-    """sqrt((l+m)!(l-m)!) / sqrt((l+k)!(l-k)!)."""
-    if abs(k) > l or abs(m) > l:
-        raise ValueError("indices must satisfy |k|, |m| <= l")
-    return sqrt(factorial(l + m) * factorial(l - m)
-                / (factorial(l + k) * factorial(l - k)))
-
-
-def _wigner_vec(l: int, k: int, m: int, alpha, beta):
-    """Representation matrix entry D^l_{km} on K[alpha, beta], vectorized
-    over numpy arrays of (alpha, beta) with |alpha|^2 + |beta|^2 = 1.
-    Mirrors the scalar monomial-coefficient evaluation entrywise."""
-    jm, jmm = l + m, l - m
-    jk, jkm = l + k, l - k
-    p = np.conjugate(alpha)
-    q = -np.asarray(beta)
-    u = np.conjugate(beta)
-    v = np.asarray(alpha)
-    acc = np.zeros(np.shape(alpha), dtype=complex)
-    for t in range(max(0, jk - jmm), min(jm, jk) + 1):
-        coef = comb(jm, t) * comb(jmm, jk - t)
-        acc = acc + coef * p ** t * q ** (jm - t) * u ** (jk - t) \
-            * v ** (jmm - jk + t)
-    norm = sqrt(factorial(jk) * factorial(jkm)
-                / (factorial(jm) * factorial(jmm)))
-    return norm * acc
-
-
 # -- row enumeration ------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
@@ -188,7 +144,7 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
                 beta = (lam * cu.conjugate()) / vroot
                 wvals = hweight(lam / v2)
                 for a in range(-l, l + 1):
-                    wig = _wigner_vec(l, a, m, alpha, beta)
+                    wig = wigner_monomial(2 * l, 2 * a, 2 * m, alpha, beta)
                     acc[a + l] += mu_g * complex(
                         np.sum(np.conjugate(wig) * wvals))
     return acc
@@ -199,14 +155,16 @@ def _diagonal_unit_sum(m: int) -> float:
     return 4.0 if m % 2 == 0 else 0.0
 
 
-def _combine_rotation(l: int, k: int, vec: np.ndarray, kinv) -> complex:
-    """Contract the a-vector of point values with conj(D_{ka}) of the
-    inverse rotation part (right-translation equivariance)."""
+def _combine_rotation(l: int, k: int, kinv, values) -> complex:
+    """Contract point values with conj(D_{ka}) of the inverse rotation part
+    (right-translation equivariance). values(rows) returns the values at the
+    row indices a whose coefficient is nonzero, in the order given."""
+    coefs = {a: complex(wigner_D_su2(l, k, a, kinv)).conjugate()
+             for a in range(-l, l + 1)}
+    rows = [a for a, coef in coefs.items() if coef != 0.0]
     total = 0.0 + 0.0j
-    for a in range(-l, l + 1):
-        coef = complex(wigner_D_su2(l, k, a, kinv)).conjugate()
-        if coef != 0.0:
-            total += coef * vec[a + l]
+    for a, val in zip(rows, values(rows)):
+        total += coefs[a] * val
     return total
 
 
@@ -227,7 +185,8 @@ def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesVal
     vec = _row_sum_vector(l, m, z, lam, bound,
                           lambda h: h ** (1.0 + s))
     vec[m + l] += _diagonal_unit_sum(m) * lam ** (1.0 + s)
-    value = _combine_rotation(l, k, vec, co.k.inv())
+    value = _combine_rotation(l, k, co.k.inv(),
+                              lambda rows: [vec[a + l] for a in rows])
     mu = _height_form_min(z, lam)
     sig = s.real
     tail = pi ** 2 * (lam / mu) ** (1.0 + sig) \
@@ -260,7 +219,7 @@ class FourierExpansionTerms:
 
 def _constant_terms(l: int, k: int, m: int, s: complex,
                     index_gamma_inf: int) -> tuple:
-    b = b_coefficient(l, k, m)
+    b = b_factor(l, k, m)
     out = []
     if k == m:
         out.append(ConstantTermData(index_gamma_inf * b, 1.0 + s))
@@ -285,22 +244,16 @@ def _constant_terms(l: int, k: int, m: int, s: complex,
 def _u_data(l: int, k: int, m: int, s: complex) -> tuple:
     out = []
     for u in range(0, l - max(abs(k), abs(m)) + 1):
-        xi = (-1.0) ** u * xi_coefficient(l, -m, -k, u)
+        xi = (-1.0) ** u * xi_weight(l, -m, -k, u)
         inv_gamma = 1.0 / gamma_complex(1.0 + l + s - u)
         out.append((xi, inv_gamma, s + l - abs(k + m) - u))
     return tuple(out)
 
 
-@lru_cache(maxsize=100000)
-def _sigma_cached(two_w: GaussInt, p: int, nu: complex) -> complex:
-    return sigma_twisted(two_w, p, nu)
-
-
-def _d_value(two_w: GaussInt, m: int, s: complex, l_den: complex) -> complex:
-    """Closed form of the exponential lattice series at frequency -w
-    (associate-invariant, so evaluated on the canonical generator)."""
-    sig = _sigma_cached(canonical_associate(two_w), m // 2, -s)
-    return 16.0 * sig / l_den
+def _prefactor(l: int, k: int, m: int, s: complex) -> complex:
+    """(-1)^{l+m} i^{-k-m} (2 pi)^s B."""
+    return (-1.0) ** (l + m) * 1j ** (-k - m) * (2.0 * pi) ** s \
+        * b_factor(l, k, m)
 
 
 def fourier_expansion_terms(params: SeriesParams,
@@ -316,54 +269,92 @@ def fourier_expansion_terms(params: SeriesParams,
         udata = _u_data(l, k, m, s)
         l_den = 4.0 * l_function_continued(1.0 + s, 2 * m)
         re, im, norm = _lattice_arrays(params.truncation.lattice_norm_bound)
+        # closed form of the exponential lattice series at frequency -w;
+        # associate-invariant, so computed once per class
+        d_values = {}
         for j in range(len(norm)):
             tw = GaussInt(int(re[j]), int(im[j]))
             wc = complex(tw.re, tw.im) / 2.0
-            dv = _d_value(tw, m, s, l_den)
+            cls = canonical_associate(tw)
+            dv = d_values.get(cls)
+            if dv is None:
+                dv = d_values[cls] = \
+                    16.0 * sigma_twisted(cls, m // 2, -s) / l_den
             coef = dv * abs(wc) ** (s - 1.0) * (wc / abs(wc)) ** (-k - m)
             waves[(tw.re, tw.im)] = WaveTermData(wc, dv, coef, udata)
-    pref = (-1.0) ** (l + m) * 1j ** (-k - m) * (2.0 * pi) ** s \
-        * b_coefficient(l, k, m)
-    return FourierExpansionTerms(pref, consts, waves)
+    return FourierExpansionTerms(_prefactor(l, k, m, s), consts, waves)
 
 
-def _fourier_point(l: int, k: int, m: int, s: complex, z: complex,
-                   lam: float, trunc: TruncationConfig,
-                   index_gamma_inf: int) -> complex:
-    if m % 2 != 0:
-        return 0.0 + 0.0j  # the series vanishes identically for odd m
-    value = sum(ct.coefficient * lam ** ct.exponent
-                for ct in _constant_terms(l, k, m, s, index_gamma_inf))
-    # frequency cut: terms decay like exp(-2 pi |2w| lam)
+def fourier_evaluator(params: SeriesParams, rows, lam_min: float,
+                      index_gamma_inf: int = 4):
+    """Vectorized evaluator of the Fourier-Bessel expansion of the series at
+    the indices (l, a, m), a in rows, at heights lam >= lam_min.
+
+    Returns evaluate(zs, lams): zs (complex) and lams broadcast to one
+    shape, and the result has shape (len(rows),) + that shape. Terms decay
+    like exp(-2 pi |2w| lam), so a frequency enters only while
+    2 pi |2w| lam <= x_cut at the lowest height of the call; coefficients
+    are computed once, for the frequencies inside the cut at lam_min. The
+    values are separable in (z, lam): each call works on the distinct z
+    and the distinct heights, and evaluates the Bessel factor of each
+    distinct order once, shared across the rows. The series vanishes
+    identically for odd m.
+    """
+    s = complex(params.s)
+    l, _, m = params.lkm()
+    if m % 2:  # the series vanishes identically for odd m
+        return lambda zs, lams: np.zeros(
+            (len(rows),) + np.broadcast(zs, lams).shape, dtype=complex)
+    trunc = params.truncation
     x_cut = -log(trunc.bessel_tol) + 20.0
     norm_cut = min(trunc.lattice_norm_bound,
-                   int((x_cut / (2.0 * pi * lam)) ** 2) + 1)
-    re, im, norm = _lattice_arrays(norm_cut)
-    if len(norm) == 0:
-        return complex(value)
-    udata = _u_data(l, k, m, s)
-    l_den = 4.0 * l_function_continued(1.0 + s, 2 * m)
-    distinct = np.unique(norm)
-    xs = 2.0 * pi * lam * np.sqrt(distinct.astype(float))
-    kvals = [bessel_k_complex_array(order, xs, trunc.bessel_tol)
-             for (_, _, order) in udata]
-    pos = {int(n): i for i, n in enumerate(distinct)}
-    wsum = 0.0 + 0.0j
-    for j in range(len(norm)):
-        tw = GaussInt(int(re[j]), int(im[j]))
-        wc = complex(tw.re, tw.im) / 2.0
-        absw = abs(wc)
-        dv = _d_value(tw, m, s, l_den)
-        phase = cmath.exp(-4j * pi * (wc * z).real)
-        angular = (wc / absw) ** (-k - m)
-        i_norm = pos[int(norm[j])]
-        arg = 2.0 * pi * absw * lam
-        inner = sum(xi * ig * arg ** (1 + l - u) * kvals[u][i_norm]
-                    for u, (xi, ig, _) in enumerate(udata))
-        wsum += dv * absw ** (s - 1.0) * phase * angular * inner
-    value += ((-1.0) ** (l + m) * 1j ** (-k - m) * (2.0 * pi) ** s
-              * b_coefficient(l, k, m) * wsum)
-    return complex(value)
+                   int((x_cut / (2.0 * pi * lam_min)) ** 2))
+    terms = fourier_expansion_terms(
+        replace(params, truncation=replace(
+            trunc, lattice_norm_bound=max(norm_cut, 1))),
+        index_gamma_inf)
+    waves = terms.nonconstant_terms
+    two_w = np.array(list(waves), dtype=float).reshape(-1, 2)
+    norm = two_w[:, 0] ** 2 + two_w[:, 1] ** 2
+    wc = np.array([wt.frequency for wt in waves.values()], dtype=complex)
+    absw = np.abs(wc)
+    dcoef = np.array([wt.d_value for wt in waves.values()],
+                     dtype=complex) * absw ** (s - 1.0)
+    row_data = [(_constant_terms(l, a, m, s, index_gamma_inf),
+                 _u_data(l, a, m, s), dcoef * (wc / absw) ** (-a - m),
+                 _prefactor(l, a, m, s)) for a in rows]
+
+    def evaluate(zs, lams) -> np.ndarray:
+        za, la = np.broadcast_arrays(np.asarray(zs, dtype=complex),
+                                     np.asarray(lams, dtype=float))
+        lam_u, lam_inv = np.unique(la.ravel(), return_inverse=True)
+        z_u, z_inv = np.unique(za.ravel(), return_inverse=True)
+        if lam_u[0] < lam_min:
+            raise ValueError(f"height {lam_u[0]} below the evaluator floor "
+                             f"{lam_min}")
+        keep = 2.0 * pi * np.sqrt(norm) * lam_u[0] <= x_cut
+        roots, n_inv = np.unique(np.sqrt(norm[keep]), return_inverse=True)
+        bessel_arg = np.outer(2.0 * pi * roots, lam_u)
+        power_arg = np.outer(pi * roots, lam_u)
+        phase = np.exp(-4j * pi * np.real(np.outer(z_u, wc[keep])))
+        kvals = {}
+        out = np.empty((len(rows), len(z_u), len(lam_u)), dtype=complex)
+        for i, (consts, udata, coef, pref) in enumerate(row_data):
+            rad = np.zeros(bessel_arg.shape, dtype=complex)
+            for u, (xi, ig, order) in enumerate(udata):
+                if order not in kvals:
+                    kvals[order] = bessel_k_complex_array(
+                        order, bessel_arg.ravel(),
+                        trunc.bessel_tol).reshape(bessel_arg.shape)
+                rad += (xi * ig) * power_arg ** (1 + l - u) * kvals[order]
+            const = sum(ct.coefficient * lam_u ** ct.exponent
+                        for ct in consts)
+            # einsum, not a BLAS product: at these sizes BLAS worker threads
+            # spin between calls and cost more CPU than they save
+            out[i] = const + pref * np.einsum(
+                "zj,jl->zl", phase * coef[keep], rad[n_inv])
+        return out[:, z_inv, lam_inv].reshape((len(rows),) + la.shape)
+    return evaluate
 
 
 def eisenstein_fourier(params: SeriesParams, p: H3Point,
@@ -372,26 +363,21 @@ def eisenstein_fourier(params: SeriesParams, p: H3Point,
     Fourier-Bessel expansion; valid wherever the coefficient L-values are
     (everything but the excluded polar set), in particular on the critical
     line where it defines the continued series."""
-    return _fourier_point(*params.lkm(), complex(params.s), p.z, p.lam,
-                          params.truncation, index_gamma_inf)
+    k = params.lkm()[1]
+    ev = fourier_evaluator(params, [k], p.lam, index_gamma_inf)
+    return complex(ev(p.z, p.lam)[0])
 
 
 def eisenstein_fourier_group(params: SeriesParams, g: GroupElementSL2C,
                              index_gamma_inf: int = 4) -> complex:
     """Expansion route at a general group element: evaluate the a-vector at
     the Iwasawa point and contract with the rotation part."""
-    s = complex(params.s)
-    l, k, m = params.lkm()
+    l, k, _ = params.lkm()
     co = iwasawa_decompose(g)
-    kinv = co.k.inv()
-    total = 0.0 + 0.0j
-    for a in range(-l, l + 1):
-        coef = complex(wigner_D_su2(l, k, a, kinv)).conjugate()
-        if abs(coef) < 1e-16:
-            continue
-        total += coef * _fourier_point(l, a, m, s, co.z, co.height,
-                                       params.truncation, index_gamma_inf)
-    return total
+    return _combine_rotation(
+        l, k, co.k.inv(),
+        lambda rows: fourier_evaluator(params, rows, co.height,
+                                       index_gamma_inf)(co.z, co.height))
 
 
 # -- test functions on the height axis and their Mellin transforms ---------------
@@ -469,11 +455,6 @@ def _mellin_numeric(psi: TestFunctionPsi, s: complex) -> complex:
     return prev
 
 
-def mellin_of_psi(psi: TestFunctionPsi, s: complex) -> complex:
-    """H(s) = int_0^inf psi(lam) lam^{-s} dlam/lam."""
-    return psi.mellin(s)
-
-
 # -- incomplete series ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -524,7 +505,8 @@ def incomplete_series(index: SpectralIndex, psi: TestFunctionPsi,
         vec = _row_sum_vector(l, b_idx, z, lam, bound,
                               lambda h: np.asarray(psi(h), dtype=complex))
         vec[b_idx + l] += _diagonal_unit_sum(b_idx) * float(psi(lam))
-        direct = _combine_rotation(l, a_idx, vec, kinv)
+        direct = _combine_rotation(l, a_idx, kinv,
+                                   lambda rows: [vec[a + l] for a in rows])
         direct_tail = eps * pi ** 2 * float(bound) ** 2
     if routes == "direct":
         return IncompleteSeriesResult(direct, None, float(direct_tail), 0.0)
@@ -549,16 +531,12 @@ def incomplete_series(index: SpectralIndex, psi: TestFunctionPsi,
             for ip in range(n_panels):
                 taus = half * (width * ip + width * (x_gl + 1.0) / 2.0)
                 for tau, wq in zip(taus, w_gl):
-                    s_line = complex(sigma0 - 1.0, tau)
-                    e_val = 0.0 + 0.0j
-                    for a in range(-l, l + 1):
-                        coef = complex(
-                            wigner_D_su2(l, a_idx, a, kinv)).conjugate()
-                        if abs(coef) < 1e-16:
-                            continue
-                        e_val += coef * _fourier_point(
-                            l, a, b_idx, s_line, z, lam, trunc,
-                            index_gamma_inf)
+                    params = SeriesParams(index, complex(sigma0 - 1.0, tau),
+                                          trunc)
+                    e_val = _combine_rotation(
+                        l, a_idx, kinv,
+                        lambda rows: fourier_evaluator(
+                            params, rows, lam, index_gamma_inf)(z, lam))
                     total += (wq * width / 2.0
                               * psi.mellin(complex(sigma0, tau)) * e_val)
         return total / (2.0 * pi)

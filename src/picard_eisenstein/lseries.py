@@ -22,7 +22,7 @@ import numpy as np
 
 from .gaussian import (
     GaussInt, UNITS, canonical_associate, divisors, enumerate_shells,
-    factor_gauss, gauss_divmod, gaussian_primes, residues_mod, shell_key,
+    factor_gauss, gaussian_primes, is_coprime, residues_mod, shell_key,
 )
 from .specfun import PoleError
 
@@ -272,24 +272,17 @@ def l_function_continued(s: complex, n: int) -> complex:
 # -- twisted divisor sums --------------------------------------------------------
 
 def sigma_twisted(w: GaussInt, p: int, nu: complex) -> complex:
-    """Quarter of the sum of chi_{4p}(d) |d|^{2 nu} over all divisors d of w
-    (associates included); equals the sum over divisor ideals."""
+    """Sum of chi_{4p}(d) |d|^{2 nu} over the divisor ideals d of (w) (a
+    quarter of the sum over all divisors, associates included), as the
+    product over the prime powers q^e of w of the geometric sums
+    1 + x + ... + x^e in x = chi_{4p}(q) N(q)^nu."""
     if w.is_zero():
         raise ValueError("divisor sum undefined at zero")
     chi = HeckeCharacter(4 * p)
     nu = complex(nu)
-    acc = 0.0 + 0.0j
-    for d in divisors(w):
-        acc += hecke_character(chi, d) * d.norm() ** nu
-    return acc / 4.0
-
-
-def _sigma_from_factors(factors: dict[GaussInt, int], p: int, nu: complex) -> complex:
-    """sigma_twisted from a canonical-prime factorization (product form)."""
-    chi = HeckeCharacter(4 * p)
     out = 1.0 + 0.0j
-    for q, e in factors.items():
-        x = hecke_character(chi, q) * q.norm() ** complex(nu)
+    for q, e in factor_gauss(w)[1].items():
+        x = hecke_character(chi, q) * q.norm() ** nu
         term, power = 1.0 + 0.0j, 1.0 + 0.0j
         for _ in range(e):
             power *= x
@@ -374,18 +367,11 @@ def _d_sum_bruteforce(k: int, two_w: GaussInt, s: complex, cbound: int) -> compl
         base = abs(cc) ** (-2.0 - 2.0 * s) * (cc / abs(cc)) ** (2 * k)
         inner = 0.0 + 0.0j
         for d in residues_mod(c):
-            if not _coprime_fast(c, d):
+            if not is_coprime(c, d):
                 continue
             inner += cmath.exp(4j * pi * (wc * complex(d) / cc).real)
         total += base * inner
     return total
-
-
-def _coprime_fast(a: GaussInt, b: GaussInt) -> bool:
-    while not b.is_zero():
-        _, r = gauss_divmod(a, b)
-        a, b = b, r
-    return a.is_unit()
 
 
 def d_sum_closed(k: int, w, s: complex) -> complex:
@@ -558,13 +544,9 @@ def lfc_identity_check(coeffs: SyntheticCuspCoefficients, s: complex,
     canon = (re > 0) & (im >= 0)
     for x, y, nw in zip(re[canon], im[canon], norm[canon]):
         w = GaussInt(int(x), int(y))
-        _, factors = factor_gauss(w)
-        cw = 1.0 + 0.0j
-        for p, e in factors.items():
-            cw *= coeffs.at_prime_power(p, e)
-        term = (cw * int(nw) ** (s / 2.0)
+        term = (coeffs.coefficient(w) * int(nw) ** (s / 2.0)
                 * hecke_character(chi_a, w)
-                * _sigma_from_factors(factors, 0, nu))
+                * sigma_twisted(w, 0, nu))
         lhs += term
     lhs *= 4.0
 

@@ -6,11 +6,11 @@ maps; reduction of points to the fundamental domain together with the
 rotation cocycle picked up along the way; a lattice-invariant construction
 that averages a band-limited seed over those reductions; two independent
 height-Mellin evaluations of such a function (a literal volume integral
-over the unit strip, and a pairing against the continued series over a
-height box); the explicit pairing of a synthetic cusp form against the
-degenerate spectral measure at parameter t; the incomplete-series pairing
-with its logarithmic main term split off; and the t-scan driver behind the
-command-line scan.
+over the unit strip, and a pairing against the continued series, from the
+expansion evaluator of the eisenstein module, over a height box); the
+explicit pairing of a synthetic cusp form against the degenerate spectral
+measure at parameter t; the incomplete-series pairing with its logarithmic
+main term split off; and the t-scan loop behind the command-line scan.
 
 The height transform used throughout is H(s) = int psi(lam) lam^{-s}
 dlam/lam (see TestFunctionPsi.mellin).
@@ -23,59 +23,32 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, cos, factorial, log, pi, sqrt
+from math import cos, factorial, log, pi, sqrt
 
 import numpy as np
 
 from .eisenstein import (SeriesParams, TestFunctionPsi, TruncationConfig,
-                         _constant_terms, _wigner_vec, b_coefficient,
-                         fourier_expansion_terms, xi_coefficient)
+                         _constant_terms, fourier_evaluator)
 from .h3 import (GroupElementSL2C, H3Point, QuadResult, frame_transport,
                  integrate_dV)
 from .lseries import (SyntheticCuspCoefficients, l_function_continued,
                       zeta_K_continued)
-from .specfun import (PoleError, bessel_k_complex_array, digamma,
-                      digamma_shifted, log_gamma)
-from .su2 import (SU2_IDENTITY, SpectralIndex, SU2Element, check_index,
-                  haar_grid, haar_integrate, t_basis, wigner_D_su2)
+from .specfun import PoleError, digamma, digamma_shifted, log_gamma
+from .su2 import (SU2_IDENTITY, SpectralIndex, SU2Element, b_factor,
+                  check_index, haar_grid, haar_integrate, t_basis,
+                  wigner_D_su2, wigner_monomial, xi_weight)
 
 TWO_PI_SQ = 2.0 * pi ** 2
 
 #: residue of the Dedekind zeta of the Gaussian field at its pole
 ZETA_K_RESIDUE = pi / 4.0
 
-
-def _dbl(x) -> int:
-    """Doubled-integer encoding of a half-integer."""
-    t = 2 * Fraction(x)
-    if t.denominator != 1:
-        raise ValueError(f"{x} is not a half-integer")
-    return int(t)
-
-
-def xi_weight(l, k, v, u: int) -> float:
-    """The combinatorial weight
-    u!(2l-u)!/((l+k)!(l-k)!) * C(l-(|v+k|+|v-k|)/2, u) * C(l-(|v+k|-|v-k|)/2, u)
-    extended to half-integer l, k, v (u stays a nonnegative integer).
-
-    Doubled-integer arithmetic keeps every factorial argument an exact
-    integer; agrees with xi_coefficient on integer indices.
-    """
-    tl, tk, tv = _dbl(l), _dbl(k), _dbl(v)
-    if abs(tk) > tl or abs(tv) > tl:
-        raise ValueError("indices must satisfy |k|, |v| <= l")
-    if (tl - tk) % 2 or (tl - tv) % 2:
-        raise ValueError("indices violate the parity constraint")
-    hi2 = abs(tv + tk) + abs(tv - tk)   # 4 * (|v+k|+|v-k|)/2
-    lo2 = abs(tv + tk) - abs(tv - tk)
-    n1 = (2 * tl - hi2) // 4
-    n2 = (2 * tl - lo2) // 4
-    if not 0 <= u <= n1:
-        raise ValueError(f"u = {u} outside the summation range [0, {n1}]")
-    num = factorial(u) * factorial(tl - u) * comb(n1, u) * comb(n2, u)
-    den = factorial((tl + tk) // 2) * factorial((tl - tk) // 2)
-    return num / den
+#: constant term of its Laurent expansion there, in closed form
+#: gamma pi/4 + L'(1, chi_{-4}) with
+#: L'(1, chi_{-4}) = (pi/4)(gamma + 2 ln 2 + 3 ln pi - 4 ln Gamma(1/4)),
+#: rounded from a 60-digit evaluation (summing the logarithms in float64
+#: loses about 1e-15 to cancellation)
+ZETA_K_CONSTANT_TERM = 0.6462454398948133
 
 
 # -- fiber modes ------------------------------------------------------------------
@@ -269,7 +242,7 @@ class InvariantFiberFunction(FiberFunction):
         for sd in self.seeds:
             f1, f2 = sd.frequency
             pz = np.cos(2.0 * pi * (f1 * x + f2 * y))
-            d = _wigner_vec(sd.l // 2, sd.two_m // 2, sd.two_k // 2, ta, tb)
+            d = wigner_monomial(sd.l, sd.two_m, sd.two_k, ta, tb)
             out += (sd.amplitude * sqrt((sd.l + 1) / TWO_PI_SQ)) * pz * d
         return (4.0 * w * out).reshape(shape)
 
@@ -374,56 +347,6 @@ def mellin_direct_result(f: FiberFunction, s: complex,
     return integrate_dV(g, "strip", tol=(tol if tol is not None else 1e-10))
 
 
-def mellin_transform_direct(f: FiberFunction, s: complex,
-                            tol: float | None = None) -> complex:
-    return mellin_direct_result(f, s, tol).value
-
-
-def _expansion_grid(params: SeriesParams, index_gamma_inf: int = 4):
-    """Vectorized point evaluator of the series from its expansion data."""
-    terms = fourier_expansion_terms(params, index_gamma_inf)
-    l, _, _ = params.lkm()
-    trunc = params.truncation
-    x_cut = -log(trunc.bessel_tol) + 20.0
-
-    def evaluate(xs, ys, lams) -> np.ndarray:
-        xa, ya, la = np.broadcast_arrays(
-            np.asarray(xs, dtype=float), np.asarray(ys, dtype=float),
-            np.asarray(lams, dtype=float))
-        lam_u, lam_inv = np.unique(la.ravel(), return_inverse=True)
-        z_u, z_inv = np.unique(xa.ravel() + 1j * ya.ravel(),
-                               return_inverse=True)
-        ct_vals = np.zeros(lam_u.shape, dtype=complex)
-        for ct in terms.constant_terms:
-            ct_vals = ct_vals + ct.coefficient * lam_u ** ct.exponent
-        out = ct_vals[lam_inv]
-        if terms.nonconstant_terms:
-            lam_min = float(lam_u[0])
-            mat = np.zeros((len(z_u), len(lam_u)), dtype=complex)
-            radial_cache = {}
-            for (twre, twim), wt in terms.nonconstant_terms.items():
-                nrm = twre * twre + twim * twim
-                if 2.0 * pi * sqrt(nrm) * lam_min > x_cut:
-                    continue
-                rad = radial_cache.get(nrm)
-                if rad is None:
-                    root = sqrt(nrm)
-                    bessel_arg = 2.0 * pi * root * lam_u
-                    power_arg = pi * root * lam_u
-                    rad = np.zeros(lam_u.shape, dtype=complex)
-                    for u, (xi, ig, order) in enumerate(wt.u_terms):
-                        rad = rad + (xi * ig) * power_arg ** (1 + l - u) \
-                            * bessel_k_complex_array(order, bessel_arg,
-                                                     trunc.bessel_tol)
-                    radial_cache[nrm] = rad
-                wc = complex(twre, twim) / 2.0
-                phase = np.exp(-4j * pi * np.real(wc * z_u))
-                mat += np.outer(wt.coefficient * phase, rad)
-            out = out + terms.prefactor * mat[z_inv, lam_inv]
-        return out.reshape(la.shape)
-    return evaluate
-
-
 def mellin_eisenstein_result(f: InvariantFiberFunction, s: complex,
                              truncation: TruncationConfig | None = None,
                              index_gamma_inf: int = 4) -> QuadResult:
@@ -444,16 +367,17 @@ def mellin_eisenstein_result(f: InvariantFiberFunction, s: complex,
     for sd in f.seeds:
         if (sd.two_k // 2) % 2:
             continue  # odd k: the paired series vanishes identically
-        idx = SpectralIndex(sd.l, -sd.two_m, -sd.two_k)
-        grid_eval = _expansion_grid(SeriesParams(idx, s, trunc),
-                                    index_gamma_inf)
+        params = SeriesParams(SpectralIndex(sd.l, -sd.two_m, -sd.two_k), s,
+                              trunc)
+        series = fourier_evaluator(params, [params.lkm()[1]], lo,
+                                   index_gamma_inf)
         f1, f2 = sd.frequency
         psi = f.psi
 
-        def gv(xs, ys, lams, _ev=grid_eval, _f1=f1, _f2=f2):
-            return (np.cos(2.0 * pi * (_f1 * np.asarray(xs)
-                                       + _f2 * np.asarray(ys)))
-                    * np.asarray(psi(lams)) * _ev(xs, ys, lams))
+        def gv(xs, ys, lams, _ev=series, _f1=f1, _f2=f2):
+            xs, ys = np.asarray(xs), np.asarray(ys)
+            return (np.cos(2.0 * pi * (_f1 * xs + _f2 * ys))
+                    * np.asarray(psi(lams)) * _ev(xs + 1j * ys, lams)[0])
 
         coefmag = 4.0 * abs(sd.amplitude) * sqrt((sd.l + 1) / TWO_PI_SQ)
         scale = coefmag * abs(complex(psi.mellin(1.0 - s.real))) * 8.0 + 1e-12
@@ -468,12 +392,6 @@ def mellin_eisenstein_result(f: InvariantFiberFunction, s: complex,
         total += coef * quad.value
         err += abs(coef) * quad.error_estimate
     return QuadResult(total, err)
-
-
-def mellin_via_eisenstein(f: InvariantFiberFunction, s: complex,
-                          truncation: TruncationConfig | None = None,
-                          index_gamma_inf: int = 4) -> complex:
-    return mellin_eisenstein_result(f, s, truncation, index_gamma_inf).value
 
 
 # -- cusp-form pairing ---------------------------------------------------------------
@@ -497,37 +415,6 @@ def mock_l_provider(kind: str, s_value: complex, chi_index: int) -> complex:
     if kind == "character":
         return l_function_continued(complex(s_value), int(chi_index))
     raise ValueError(f"unknown L-value kind {kind!r}")
-
-
-def dirichlet_series_provider(coefficients: SyntheticCuspCoefficients,
-                              truncation: int = 20000,
-                              sigma_min: float = 2.0):
-    """Provider computing cusp L-values by the truncated ideal sum where it
-    converges comfortably (Re s >= sigma_min) and declining elsewhere."""
-    from .gaussian import GaussInt
-    from .lseries import _lattice_arrays, hecke_character, HeckeCharacter
-
-    def provider(kind: str, s_value: complex, chi_index: int):
-        if kind == "character":
-            return l_function_continued(complex(s_value), int(chi_index))
-        if kind != "cusp":
-            raise ValueError(f"unknown L-value kind {kind!r}")
-        s = complex(s_value)
-        if s.real < sigma_min:
-            return None
-        if chi_index % 4:
-            raise ValueError("twist exponent must descend to ideals "
-                             "(divisible by 4)")
-        chi = HeckeCharacter(int(chi_index))
-        re, im, norm = _lattice_arrays(truncation)
-        canon = (re > 0) & (im >= 0)
-        total = 0.0 + 0.0j
-        for xw, yw, nw in zip(re[canon], im[canon], norm[canon]):
-            w = GaussInt(int(xw), int(yw))
-            total += (coefficients.coefficient(w) * hecke_character(chi, w)
-                      * float(nw) ** (-s))
-        return total
-    return provider
 
 
 def _cusp_gamma_logs(l, p, q, r: float, t: float):
@@ -633,17 +520,6 @@ class IncompletePairingResult:
         return self.f1 + self.f2
 
 
-@lru_cache(maxsize=1)
-def _a0_constant() -> float:
-    """Constant term of the Dedekind zeta at its pole, by Richardson
-    extrapolation of zeta_K(1+h) - (pi/4)/h over h = 1e-2, 5e-3, 2.5e-3."""
-    vals = [(zeta_K_continued(complex(1.0 + h, 0.0)).real
-             - ZETA_K_RESIDUE / h) for h in (1e-2, 5e-3, 2.5e-3)]
-    r1 = 2.0 * vals[1] - vals[0]
-    r2 = 2.0 * vals[2] - vals[1]
-    return (4.0 * r2 - r1) / 3.0
-
-
 def _zeta_log_derivative(s: complex, h: float = 1e-6) -> complex:
     s = complex(s)
     num = (zeta_K_continued(s + h) - zeta_K_continued(s - h)) / (2.0 * h)
@@ -667,7 +543,7 @@ def main_term_coefficient(index: SpectralIndex, psi: TestFunctionPsi) -> float:
     b = index.two_m // 2
     if a != 0 or b != 0:
         return 0.0
-    alt = sum((-1.0) ** u * xi_coefficient(l, 0, 0, u) / (1.0 + l - u)
+    alt = sum((-1.0) ** u * xi_weight(l, 0, 0, u) / (1.0 + l - u)
               for u in range(l + 1))
     h2 = complex(psi.mellin(2.0)).real
     return (-1.0) ** l * alt * h2 / (4.0 * zeta_K_continued(2.0 + 0.0j).real)
@@ -776,7 +652,6 @@ def _residue_terms(l: int, a: int, b: int, t: float,
         zp = 0.5 * (_zeta_log_derivative(complex(1.0, t))
                     + _zeta_log_derivative(complex(1.0, -t)))
         hlog = _mellin_log_derivative(psi)
-        a0 = _a0_constant()
         zp2 = _zeta_log_derivative(2.0 + 0.0j)
         for u in range(n_terms):
             lu = l - u
@@ -786,7 +661,8 @@ def _residue_terms(l: int, a: int, b: int, t: float,
                    + 0.5 * digamma(1.0 + lu) + 0.5 * digamma(1.0)
                    - log(pi) - digamma(2.0 + lu) - zp2)
             g2 = h2v * zz / (pi ** 2 * (1.0 + lu) * zk2)
-            out[u] = g2 * ZETA_K_RESIDUE * (2.0 * a0 + ZETA_K_RESIDUE * gpg)
+            out[u] = g2 * ZETA_K_RESIDUE * (2.0 * ZETA_K_CONSTANT_TERM
+                                         + ZETA_K_RESIDUE * gpg)
         return out
     if a == b:
         l1 = l_function_continued(1.0 + 0.0j, 2 * a)
@@ -864,10 +740,10 @@ def incomplete_pairing(index: SpectralIndex, psi: TestFunctionPsi, t: float,
     contour = residue = zero
     if (a + b) % 4 == 0:
         n_terms = l - (abs(b + a) + abs(b - a)) // 2 + 1
-        xi = np.array([(-1.0) ** u * xi_coefficient(l, a, b, u)
+        xi = np.array([(-1.0) ** u * xi_weight(l, a, b, u)
                        for u in range(n_terms)])
         pref = (4.0 * (-1.0) ** (l + b) * 1j ** ((b + a) % 4)
-                * b_coefficient(l, b, a))
+                * b_factor(l, b, a))
         denom = (zeta_K_continued(complex(1.0, t))
                  * l_function_continued(complex(1.0, -t), -2 * a))
         res_u = _residue_terms(l, a, b, float(t), psi, n_terms)
@@ -890,7 +766,7 @@ def verify_suma_es0(l: int) -> float:
     denominators); at the l = 0 boundary the sum is the single term 1."""
     if l < 0:
         raise ValueError("l must be nonnegative")
-    total = sum((-1.0) ** u * xi_coefficient(l, 0, 0, u) / (1.0 + l - u)
+    total = sum((-1.0) ** u * xi_weight(l, 0, 0, u) / (1.0 + l - u)
                 for u in range(l + 1))
     return abs(total)
 

@@ -68,38 +68,6 @@ def digamma_shifted(s: complex, m: int) -> complex:
 
 # -- modified Bessel K of complex order ----------------------------------------
 
-def _bessel_trap_float(nu: complex, x: float, tol: float) -> complex:
-    """Trapezoid evaluation of int_0^inf exp(-x cosh u) cosh(nu u) du.
-
-    The integrand extends evenly through u = 0, so the trapezoid rule
-    converges exponentially; step is refined (halved) until stable, with
-    the initial step shrunk proportionally to 1/|Im nu| to resolve the
-    cos(t u) oscillation.
-    """
-    t = abs(nu.imag)
-    sr = abs(nu.real)
-    # truncation point: exp(-x cosh U + sr U) < 1e-19 * exp(-x)
-    u_max = 1.0
-    while x * (cosh(u_max) - 1.0) - sr * u_max < 45.0:
-        u_max += 0.5
-        if u_max > 700:
-            break
-    h = min(0.25, 2.5 / (t + 1.0))
-    prev = None
-    for _ in range(14):
-        n = int(u_max / h) + 1
-        u = h * np.arange(n + 1)
-        vals = np.exp(-x * np.cosh(u)) * np.cosh(nu * u)
-        vals[0] *= 0.5
-        cur = complex(h * vals.sum())
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-        h *= 0.5
-    raise ArithmeticError(
-        f"Bessel quadrature did not stabilize for nu={nu}, x={x}")
-
-
 def _bessel_trap_mp(nu: complex, x: float, target_rel: float = 1e-13) -> complex:
     """Same trapezoid scheme in mpmath arithmetic (for oscillatory orders
     whose cancellation exceeds float64). Working precision covers the
@@ -152,16 +120,19 @@ def bessel_k_complex(nu, x: float, tol: float = 1e-11) -> complex:
     if abs(nu.imag) > 200:
         raise ValueError("imaginary order beyond the documented limit 200")
     if abs(nu.imag) <= 12.0:
-        return _bessel_trap_float(nu, float(x), tol)
+        return complex(bessel_k_complex_array(nu, [float(x)], tol)[0])
     return _bessel_trap_mp(nu, float(x))
 
 
 def bessel_k_complex_array(nu, xs, tol: float = 1e-11) -> np.ndarray:
     """K_nu(x) for one complex order and an array of positive arguments.
 
-    Shares a single trapezoid grid across all arguments (the grid length is
-    set by the smallest x); falls back to pointwise evaluation when the
-    order needs scaled-precision arithmetic.
+    Trapezoid evaluation of int_0^inf exp(-x cosh u) cosh(nu u) du. The
+    integrand extends evenly through u = 0, so the trapezoid rule converges
+    exponentially; the step starts proportional to 1/|Im nu| to resolve the
+    cos(t u) oscillation and is halved until every argument is stable. All
+    arguments share one grid, whose length is set by the smallest x. Orders
+    that need scaled-precision arithmetic fall back to pointwise evaluation.
     """
     if isinstance(nu, ComplexOrder):
         nu = nu.value
@@ -175,6 +146,7 @@ def bessel_k_complex_array(nu, xs, tol: float = 1e-11) -> np.ndarray:
         return np.array([bessel_k_complex(nu, float(x)) for x in xs])
     t, sr = abs(nu.imag), abs(nu.real)
     x_min = float(xs.min())
+    # truncation point: exp(-x cosh U + sr U) < 1e-19 * exp(-x)
     u_max = 1.0
     while x_min * (cosh(u_max) - 1.0) - sr * u_max < 45.0:
         u_max += 0.5

@@ -1,5 +1,7 @@
-"""SU(2)/SO(3) group elements, the spin covering map, Euler angles, and
-Wigner matrix coefficients (integer and half-integer order).
+"""SU(2)/SO(3) group elements, the spin covering map, Euler angles, Wigner
+matrix coefficients (integer and half-integer order; one monomial
+evaluation serving both single elements and numpy arrays of them), and the
+index weights B and xi that the series expansion and the pairings use.
 
 Index arguments (j, k, m) are half-integers passed as ints, floats or
 Fractions with 2j integral; they are converted to doubled integers
@@ -193,13 +195,18 @@ def wigner_D_su2(j, k, m, a: SU2Element) -> complex:
     Coefficient of the orthonormal monomial basis under
     f_m(x,y) -> f_m(K^{-1}(x,y)); single-valued for half-integer j.
     """
-    tj, tk, tm = check_index(j, k, m)
+    return wigner_monomial(*check_index(j, k, m), a.alpha, a.beta)
+
+
+def wigner_monomial(tj: int, tk: int, tm: int, alpha, beta):
+    """D^j_{km} on K[alpha, beta] from the doubled indices (2j, 2k, 2m),
+    without index validation. alpha and beta are complex numbers or numpy
+    arrays of them (evaluated entrywise), with |alpha|^2 + |beta|^2 = 1."""
     # K^{-1}(x, y) = (conj(alpha) x + conj(beta)... ) worked out explicitly:
     # with K = K[al, be], K^{-1} = K[conj(al), -be], acting on column (x, y):
     #   x' = conj(al) x - be y,  y' = conj(be) x + al y
-    al, be = a.alpha, a.beta
-    p, q = al.conjugate(), -be            # x' = p x + q y
-    u, v = be.conjugate(), al             # y' = u x + v y
+    p, q = alpha.conjugate(), -beta       # x' = p x + q y
+    u, v = beta.conjugate(), alpha        # y' = u x + v y
     jm, jmm = (tj + tm) // 2, (tj - tm) // 2   # j+m, j-m
     jk, jkm = (tj + tk) // 2, (tj - tk) // 2   # j+k, j-k
     # coefficient of x^{j+k} y^{j-k} in (p x + q y)^{j+m} (u x + v y)^{j-m}
@@ -207,8 +214,8 @@ def wigner_D_su2(j, k, m, a: SU2Element) -> complex:
     for t in range(max(0, jk - jmm), min(jm, jk) + 1):
         # x^t from the first factor, x^{jk-t} from the second
         term = comb(jm, t) * comb(jmm, jk - t)
-        acc += (term * _cpow(p, t) * _cpow(q, jm - t)
-                * _cpow(u, jk - t) * _cpow(v, jmm - jk + t))
+        acc = acc + (term * p ** t * q ** (jm - t)
+                     * u ** (jk - t) * v ** (jmm - jk + t))
     norm = sqrt(factorial(jk) * factorial(jkm)
                 / (factorial(jm) * factorial(jmm)))
     return acc * norm
@@ -234,12 +241,6 @@ def wigner_D_euler(j, k, m, ang: EulerAngles) -> complex:
     return (np.exp(1j * float(Fraction(k)) * ang.theta)
             * wigner_small_d(j, k, m, ang.chi)
             * np.exp(1j * float(Fraction(m)) * ang.phi))
-
-
-def u_coeff(j, k, m, a: SU2Element) -> complex:
-    """The monomial-basis matrix coefficient; identical to wigner_D_su2 by
-    construction (exposed under its own name for the identity checks)."""
-    return wigner_D_su2(j, k, m, a)
 
 
 def phi_coeff(l, k, m, a: SU2Element) -> complex:
@@ -269,6 +270,30 @@ def b_factor(l, k, m) -> float:
     lk, lkm = (tl + tk) // 2, (tl - tk) // 2
     return sqrt(factorial(lm) * factorial(lmm)
                 / (factorial(lk) * factorial(lkm)))
+
+
+def xi_weight(l, k, v, u: int) -> float:
+    """The combinatorial weight
+    u!(2l-u)!/((l+k)!(l-k)!) * C(l-(|v+k|+|v-k|)/2, u) * C(l-(|v+k|-|v-k|)/2, u)
+    for integer or half-integer l, k, v (u stays a nonnegative integer).
+
+    Doubled-integer arithmetic keeps every factorial argument an exact
+    integer.
+    """
+    tl, tk, tv = _two(l), _two(k), _two(v)
+    if abs(tk) > tl or abs(tv) > tl:
+        raise ValueError("indices must satisfy |k|, |v| <= l")
+    if (tl - tk) % 2 or (tl - tv) % 2:
+        raise ValueError("indices violate the parity constraint")
+    hi2 = abs(tv + tk) + abs(tv - tk)   # 4 * (|v+k|+|v-k|)/2
+    lo2 = abs(tv + tk) - abs(tv - tk)
+    n1 = (2 * tl - hi2) // 4
+    n2 = (2 * tl - lo2) // 4
+    if not 0 <= u <= n1:
+        raise ValueError(f"u = {u} outside the summation range [0, {n1}]")
+    num = factorial(u) * factorial(tl - u) * comb(n1, u) * comb(n2, u)
+    den = factorial((tl + tk) // 2) * factorial((tl - tk) // 2)
+    return num / den
 
 
 def t_basis(l: int, k, m, a: SU2Element) -> complex:

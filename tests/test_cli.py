@@ -123,3 +123,14 @@ class TestConfigFile:
         code, _, err = run(capsys, "verify", "lattice", "--config", str(cfg))
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_tolerance_knob_is_gone(self, capsys, tmp_path):
+        # no suite reads a global tolerance, so neither form is accepted
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "lattice", "--tol", "1e-6"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-6}))
+        code, _, err = run(capsys, "verify", "lattice", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys" in err

@@ -1,5 +1,5 @@
 import cmath
-from math import e, exp, log, pi, sqrt
+from math import e, exp, factorial, log, pi, sqrt
 
 import mpmath
 import numpy as np
@@ -7,13 +7,14 @@ import pytest
 
 from picard_eisenstein.eisenstein import (
     GAMMA_GENERATORS, SeriesParams, SeriesValue, TestFunctionPsi,
-    TruncationConfig, b_coefficient, eisenstein_coset_sum, eisenstein_fourier,
+    TruncationConfig, eisenstein_coset_sum, eisenstein_fourier,
     eisenstein_fourier_group, f_seed, fourier_expansion_terms,
-    incomplete_series, mellin_of_psi, xi_coefficient, _wigner_vec,
+    incomplete_series,
 )
 from picard_eisenstein.h3 import GroupElementSL2C, H3Point
 from picard_eisenstein.su2 import (
-    SpectralIndex, b_factor, random_su2, wigner_D_su2,
+    SpectralIndex, SU2Element, b_factor, random_su2, wigner_D_su2,
+    wigner_monomial, xi_weight,
 )
 
 RNG = np.random.default_rng(571204)
@@ -64,31 +65,33 @@ class TestSeedFunction:
 
 class TestCoefficients:
     def test_xi_values(self):
-        assert xi_coefficient(1, 0, 0, 0) == 2.0
-        assert xi_coefficient(1, 0, 0, 1) == 1.0
+        assert xi_weight(1, 0, 0, 0) == 2.0
+        assert xi_weight(1, 0, 0, 1) == 1.0
 
     def test_xi_out_of_range(self):
         with pytest.raises(ValueError):
-            xi_coefficient(1, 0, 0, 2)
+            xi_weight(1, 0, 0, 2)
         with pytest.raises(ValueError):
-            xi_coefficient(1, 1, 1, 1)
+            xi_weight(1, 1, 1, 1)
         with pytest.raises(ValueError):
-            xi_coefficient(1, 2, 0, 0)
+            xi_weight(1, 2, 0, 0)
 
     def test_b_diagonal_is_one(self):
         for l in range(0, 5):
             for k in range(-l, l + 1):
-                assert b_coefficient(l, k, k) == 1.0
+                assert b_factor(l, k, k) == 1.0
 
     def test_b_example(self):
-        assert abs(b_coefficient(1, 0, 1) - sqrt(2)) < 1e-15
+        assert abs(b_factor(1, 0, 1) - sqrt(2)) < 1e-15
 
     def test_b_matches_representation_module(self):
+        # integer-index factorial formula as the reference
         for l in range(0, 4):
             for k in range(-l, l + 1):
                 for m in range(-l, l + 1):
-                    assert abs(b_coefficient(l, k, m)
-                               - b_factor(l, k, m)) < 1e-13
+                    want = sqrt(factorial(l + m) * factorial(l - m)
+                                / (factorial(l + k) * factorial(l - k)))
+                    assert abs(want - b_factor(l, k, m)) < 1e-13
 
 
 class TestWignerVectorized:
@@ -98,11 +101,10 @@ class TestWignerVectorized:
         r = np.sqrt(RNG.uniform(0, 1, size=n))
         alpha = r * np.exp(1j * ang[:, 0])
         beta = np.sqrt(1 - r ** 2) * np.exp(1j * ang[:, 1])
-        from picard_eisenstein.su2 import SU2Element
         for l in range(0, 4):
             for k in range(-l, l + 1):
                 for m in range(-l, l + 1):
-                    vec = _wigner_vec(l, k, m, alpha, beta)
+                    vec = wigner_monomial(2 * l, 2 * k, 2 * m, alpha, beta)
                     for i in range(0, n, 7):
                         want = wigner_D_su2(
                             l, k, m, SU2Element(alpha[i], beta[i]))
@@ -176,6 +178,18 @@ class TestTwoRouteAgreement:
             fo = eisenstein_fourier(params, self.POINT)
             assert abs(cs.value - fo) <= 3 * cs.tail_bound
 
+    def test_oscillatory_order_rotated(self):
+        # |Im s| > 12 sends every Bessel factor of the expansion through the
+        # scaled-precision path; a rotated element mixes all five rows
+        tr = TruncationConfig(coset_norm_bound=1000)
+        params = SeriesParams(SpectralIndex.make(2, 1, 0), 1.8 + 15j, tr)
+        g = (point_group(self.POINT)
+             * GroupElementSL2C.from_su2(SU2Element(0.6 + 0.3j, -0.2 + 0.5j)))
+        cs = eisenstein_coset_sum(params, g)
+        fo = eisenstein_fourier_group(params, g)
+        assert abs(cs.value - fo) <= max(1e-4 * abs(cs.value),
+                                         3 * cs.tail_bound)
+
     def test_scalar_deep_truncation(self):
         # the slow pin: relative agreement 1e-4 at row-norm bound 10^4
         tr = TruncationConfig(coset_norm_bound=10 ** 4)
@@ -245,7 +259,7 @@ class TestFourierExpansion:
 class TestPsiAndMellin:
     def test_closed_form_example(self):
         psi = TestFunctionPsi()
-        assert abs(mellin_of_psi(psi, 2.0) - sqrt(pi) * e) < 1e-14
+        assert abs(psi.mellin(2.0) - sqrt(pi) * e) < 1e-14
 
     def test_closed_form_against_quadrature(self):
         psi = TestFunctionPsi(center=0.4, width=0.7)
@@ -254,7 +268,7 @@ class TestPsiAndMellin:
                 want = mpmath.quad(
                     lambda u: mpmath.e ** (-((u - 0.4) / 0.7) ** 2)
                     * mpmath.e ** (-mpmath.mpc(s) * u), [-8, 0.4, 8])
-            assert abs(mellin_of_psi(psi, s) - complex(want)) < 1e-10
+            assert abs(psi.mellin(s) - complex(want)) < 1e-10
 
     def test_bump_transform_against_quadrature(self):
         psi = TestFunctionPsi(kind="compact-bump", support=(1.0, 4.0))
@@ -264,7 +278,7 @@ class TestPsiAndMellin:
                     lambda u: complex(psi(float(mpmath.e ** u)))
                     * mpmath.e ** (-mpmath.mpc(s) * u),
                     [0, mpmath.log(4)])
-            assert abs(mellin_of_psi(psi, s) - complex(want)) < 1e-8
+            assert abs(psi.mellin(s) - complex(want)) < 1e-8
 
     def test_inversion_round_trip(self):
         psi = TestFunctionPsi()

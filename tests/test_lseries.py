@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from picard_eisenstein.gaussian import GaussInt, ONE, UNITS, gauss_gcd
+from picard_eisenstein.gaussian import (
+    GaussInt, ONE, UNITS, divisors, gauss_gcd,
+)
 from picard_eisenstein.lseries import (
     HeckeCharacter, LSeriesParams, SyntheticCuspCoefficients, d_sum_closed,
     d_sum_direct, hecke_character, l_function, l_function_continued,
@@ -118,7 +120,25 @@ class TestMoebius:
             assert moebius_gauss(a * b) == moebius_gauss(a) * moebius_gauss(b)
 
 
+def sigma_by_divisors(w: GaussInt, p: int, nu: complex):
+    """Reference: a quarter of the sum over every divisor, associates
+    included. Returns the value and the sum of the term magnitudes."""
+    chi = HeckeCharacter(4 * p)
+    terms = [hecke_character(chi, d) * d.norm() ** complex(nu)
+             for d in divisors(w)]
+    return sum(terms) / 4.0, sum(abs(t) for t in terms) / 4.0
+
+
 class TestSigmaTwisted:
+    def test_product_form_matches_divisor_sum(self):
+        rng = np.random.default_rng(40417)
+        for _ in range(80):
+            w = random_gauss(rng, -30, 30)
+            p = int(rng.integers(0, 3))
+            nu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 3.0))
+            want, scale = sigma_by_divisors(w, p, nu)
+            assert abs(sigma_twisted(w, p, nu) - want) <= 1e-13 * scale
+
     def test_unit_argument(self):
         assert abs(sigma_twisted(ONE, 0, 0.0) - 1.0) < 1e-15
         assert abs(sigma_twisted(ONE, 3, 1.5 + 1j) - 1.0) < 1e-15

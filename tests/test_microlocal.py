@@ -1,24 +1,25 @@
-from math import cos, exp, log, pi, sqrt
+from math import comb, cos, exp, factorial, log, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 
-from picard_eisenstein.eisenstein import (
-    GAMMA_GENERATORS, TestFunctionPsi, xi_coefficient,
-)
+from picard_eisenstein.eisenstein import GAMMA_GENERATORS, TestFunctionPsi
 from picard_eisenstein.h3 import (
     GroupElementSL2C, H3Point, frame_transport, mobius_act,
 )
 from picard_eisenstein.microlocal import (
-    CuspFormSpec, FiberFunction, FiberMode, SeedMode, band_coefficient,
-    cusp_pairing_formula, fiber_coefficients, gamma_factor_block,
-    incomplete_pairing, invariant_fiber_function, main_term_coefficient,
-    mellin_direct_result, mellin_eisenstein_result, mellin_transform_direct,
-    mellin_via_eisenstein, mock_l_provider, reduce_to_fundamental, scan_t,
-    verify_lemma_integral, verify_suma_es0, xi_weight,
+    ZETA_K_CONSTANT_TERM, CuspFormSpec, FiberFunction, FiberMode, SeedMode,
+    band_coefficient, cusp_pairing_formula, fiber_coefficients,
+    gamma_factor_block, incomplete_pairing, invariant_fiber_function,
+    main_term_coefficient, mellin_direct_result, mellin_eisenstein_result,
+    mock_l_provider, reduce_to_fundamental, scan_t, verify_lemma_integral,
+    verify_suma_es0,
 )
 from picard_eisenstein.microlocal import _reduce_arrays
-from picard_eisenstein.su2 import SpectralIndex, haar_grid, random_su2
+from picard_eisenstein.su2 import (
+    SpectralIndex, haar_grid, random_su2, xi_weight,
+)
 
 RNG = np.random.default_rng(771002)
 
@@ -34,6 +35,14 @@ def random_gamma(rng, length=6):
     return g
 
 
+def xi_integer(l: int, k: int, v: int, u: int) -> float:
+    """Reference: the weight written directly for integer indices."""
+    n1 = l - (abs(v + k) + abs(v - k)) // 2
+    n2 = l - (abs(v + k) - abs(v - k)) // 2
+    return (factorial(u) * factorial(2 * l - u) * comb(n1, u) * comb(n2, u)
+            / (factorial(l + k) * factorial(l - k)))
+
+
 class TestXiWeight:
     def test_matches_integer_coefficients(self):
         for l in range(5):
@@ -42,7 +51,7 @@ class TestXiWeight:
                     top = l - (abs(v + k) + abs(v - k)) // 2
                     for u in range(top + 1):
                         assert xi_weight(l, k, v, u) == pytest.approx(
-                            xi_coefficient(l, k, v, u), abs=1e-12)
+                            xi_integer(l, k, v, u), abs=1e-12)
 
     def test_low_order_values(self):
         assert xi_weight(0, 0, 0, 0) == 1.0
@@ -161,13 +170,13 @@ class TestMellinDirect:
         psi = TestFunctionPsi(center=1.0, width=0.5)
         f = FiberFunction((FiberMode(0, 0, 0, band_coefficient(psi)),))
         for s in (1.5, 2.0, 2.5):
-            got = mellin_transform_direct(f, s)
+            got = mellin_direct_result(f, s).value
             want = sqrt(1.0 / (2.0 * pi ** 2)) * complex(psi.mellin(1.0 - s))
             assert abs(got - want) < 1e-8 * abs(want)
 
     def test_zero_function(self):
         f = FiberFunction((FiberMode(0, 0, 0, lambda p: 0.0),))
-        assert abs(mellin_transform_direct(f, 2.0)) < 1e-12
+        assert abs(mellin_direct_result(f, 2.0).value) < 1e-12
 
     def test_requires_convergent_exponent(self):
         psi = TestFunctionPsi(center=1.0, width=0.5)
@@ -204,8 +213,8 @@ class TestTwoRouteMellin:
         # odd k kills the series factor outright; the direct route sees the
         # same cancellation through the frame average
         f = invariant_fiber_function([SeedMode(2, 2, 0)], BAND_PSI)
-        assert abs(mellin_via_eisenstein(f, 1.5)) < 1e-12
-        assert abs(mellin_transform_direct(f, 1.5)) < 1e-6
+        assert abs(mellin_eisenstein_result(f, 1.5).value) < 1e-12
+        assert abs(mellin_direct_result(f, 1.5).value) < 1e-6
 
 
 class TestCuspPairing:
@@ -280,6 +289,18 @@ class TestIncompletePairing:
                                include_contour=False)
         assert r.residue_part != 0.0
         assert r.main_term == 0.0
+
+    def test_zeta_constant_term_closed_form(self):
+        # zeta_K(1 + h) - (pi/4)/h at 80 digits, h = 1e-30, against the
+        # closed-form constant the double-pole residue uses
+        with mpmath.workdps(80):
+            h = mpmath.mpf("1e-30")
+            s = 1 + h
+            zk = mpmath.zeta(s) * 4 ** (-s) * (
+                mpmath.zeta(s, mpmath.mpf(1) / 4)
+                - mpmath.zeta(s, mpmath.mpf(3) / 4))
+            want = float(zk - mpmath.pi / 4 / h)
+        assert abs(ZETA_K_CONSTANT_TERM - want) <= 1e-15
 
 
 class TestIdentities:
