@@ -16,7 +16,6 @@ half-integer lattice; a frequency is stored as the Gaussian integer 2w.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import exp, log, pi, sqrt
@@ -430,14 +429,19 @@ class TestFunctionPsi:
         r = self.width * sqrt(log(1.0 / eps))
         return (exp(self.center - r), exp(self.center + r))
 
-    def mellin(self, s: complex) -> complex:
-        s = complex(s)
-        if self.kind == "log-gaussian":
-            # int exp(-((u-c)/w)^2 - s u) du, complete the square
-            return (sqrt(pi) * self.width
-                    * cmath.exp(-s * self.center
-                                + (self.width * s) ** 2 / 4.0))
-        return _mellin_numeric(self, s)
+    def mellin(self, s):
+        """H(s) at a number (returned as complex) or at every entry of an
+        array of s."""
+        if self.kind == "compact-bump":
+            if np.ndim(s):
+                return np.array([_mellin_numeric(self, complex(v))
+                                 for v in np.ravel(s)]).reshape(np.shape(s))
+            return _mellin_numeric(self, complex(s))
+        # int exp(-((u-c)/w)^2 - s u) du, complete the square
+        s = np.asarray(s, dtype=complex)
+        out = (sqrt(pi) * self.width
+               * np.exp(-s * self.center + (self.width * s) ** 2 / 4.0))
+        return complex(out) if out.ndim == 0 else out
 
 
 def _mellin_numeric(psi: TestFunctionPsi, s: complex) -> complex:

@@ -5,6 +5,15 @@ exponential-sum lattice series evaluated by direct truncation and in closed
 form, and two-route checks of a Ramanujan-type convolution identity and of
 its cusp-coefficient analogue with synthetic multiplicative data.
 
+The continued Dedekind zeta (character 0) is a float64 engine over arrays
+of s: zeta_K(s) = zeta(s, 1) 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)), each
+Hurwitz zeta by Euler-Maclaurin (head sum, pole tail, 20 Bernoulli terms,
+head length set from max |s|), about 1e-12 relative for |Im s| <= 400. For
+Re s < 1/2 it switches to the functional equation. Its log-derivative
+comes from the same sums. Hecke L-values with n != 0 use the theta split in
+mpmath, one point at a time; `l_function_values` routes an array of s to
+the right one.
+
 Normalization: `l_function` sums over ideals (equivalently, nonzero lattice
 points divided by 4). The closed-form constants below are written for the
 full-lattice normalization, i.e. with 4 * l_function in each slot.
@@ -15,10 +24,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isqrt, pi
+from math import isqrt, log, pi
 
 import mpmath
 import numpy as np
+from scipy import special as sp
 
 from .gaussian import (
     GaussInt, UNITS, canonical_associate, divisors, enumerate_shells,
@@ -216,19 +226,126 @@ def zeta_K(s: complex, truncation: int = 10 ** 6) -> complex:
         LSeriesParams(s, HeckeCharacter(0), truncation, "direct-sum")).value
 
 
+#: Bernoulli corrections of the Euler-Maclaurin tail, B_2j / (2j)! for
+#: j = 1..20, from B_2j / (2j)! = (-1)^(j+1) 2 zeta(2j) / (2 pi)^(2j)
+_EM_COEFFS = tuple((-1) ** (j + 1) * 2.0 * float(sp.zeta(2 * j))
+                   / (2.0 * pi) ** (2 * j) for j in range(1, 21))
+
+#: shifts a of the three Hurwitz zetas, one row each: zeta(s) = zeta(s, 1)
+#: and L(s, chi_{-4}) = 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4))
+_SHIFTS = np.array([[1.0], [0.25], [0.75]])
+
+
+def _hurwitz_regular(s: np.ndarray, derivative: bool):
+    """Rows R(s, a) = zeta(s, a) - 1/(s - 1) for the three shifts over the
+    1-d array s (Re s >= 1/2 intended), and their s-derivatives if asked.
+
+    Euler-Maclaurin with x = N + a: the head sum over n < N, the tail
+    (x^{1-s} - 1)/(s - 1) + x^{-s}/2 (written with expm1, so the pole part
+    1/(s - 1) is split off exactly), and the 20 Bernoulli corrections
+    B_2j/(2j)! (s)_{2j-1} x^{1-s-2j}. N = 0.35 (max |s| + 40) + 1 leaves a
+    wide margin: with 0.2 in place of 0.35 the truncation error already
+    reaches 4e-9 relative against mpmath. The head is accumulated term by
+    term, so memory stays proportional to len(s).
+    """
+    n_head = int(0.35 * (float(np.abs(s).max(initial=0.0)) + 40.0)) + 1
+    ss = s[None, :]
+    val = np.zeros((3, s.size), dtype=complex)
+    dval = np.zeros_like(val) if derivative else None
+    for n in range(n_head):
+        log_n = np.log(n + _SHIFTS)
+        term = np.exp(-ss * log_n)
+        val += term
+        if derivative:
+            dval -= log_n * term
+    x = n_head + _SHIFTS
+    log_x = np.log(x)
+    x_s = np.exp(-ss * log_x)
+    sm1 = ss - 1.0
+    em1 = np.expm1(-sm1 * log_x)
+    val += em1 / sm1 + 0.5 * x_s
+    if derivative:
+        dval -= log_x * x * x_s / sm1 + em1 / sm1 ** 2 + 0.5 * log_x * x_s
+    poch = np.repeat(ss, 3, axis=0)          # (s)_{2j-1}, from j = 1
+    dpoch = np.ones_like(poch)
+    power = x_s / x                          # x^{1-s-2j}
+    for j, c in enumerate(_EM_COEFFS, 1):
+        val += c * poch * power
+        if derivative:
+            dval += c * (dpoch - log_x * poch) * power
+        for k in (2 * j - 1, 2 * j):
+            if derivative:
+                dpoch = dpoch * (ss + k) + poch
+            poch = poch * (ss + k)
+        power = power / (x * x)
+    return val, dval
+
+
+def _zeta_K(s, derivative: bool = False):
+    """zeta_K at every entry of s (flattened), and zeta_K'/zeta_K if asked.
+
+    Re s >= 1/2 (and |s| <= 1/2) comes from the Euler-Maclaurin rows as
+    zeta(s) L(s, chi_{-4}); the rest from the functional equation
+    zeta_K(s) = pi^{2s-1} Gamma(1-s)/Gamma(s) zeta_K(1-s) in log-gamma form,
+    because the direct sums lose digits there (up to 1e-11 relative at
+    Re s = -1 and 2e-9 at Re s = -2, worst at small |Im s|). The trivial
+    zeros s = -1, -2, ... are returned as 0.
+    """
+    s = np.asarray(s, dtype=complex).ravel()
+    if np.any(np.abs(s - 1.0) < 1e-12):
+        raise PoleError("Dedekind zeta pole at s = 1")
+    reflect = (s.real < 0.5) & (np.abs(s) > 0.5)
+    w = np.where(reflect, 1.0 - s, s)
+    r, dr = _hurwitz_regular(w, derivative)
+    pole = 1.0 / (w - 1.0)
+    zeta = r[0] + pole
+    beta = r[1] - r[2]
+    value = zeta * np.exp(-log(4.0) * w) * beta
+    sr = s[reflect]
+    if sr.size:
+        trivial = (sr.imag == 0.0) & (sr.real == np.round(sr.real))
+        factor = np.exp((2.0 * sr - 1.0) * log(pi) + sp.loggamma(1.0 - sr)
+                        - sp.loggamma(sr))
+        value[reflect] *= np.where(trivial, 0.0, factor)
+    if not derivative:
+        return value
+    log_deriv = (dr[0] - pole ** 2) / zeta + (dr[1] - dr[2]) / beta - log(4.0)
+    if sr.size:
+        log_deriv[reflect] = (2.0 * log(pi) - sp.psi(1.0 - sr) - sp.psi(sr)
+                              - log_deriv[reflect])
+    return value, log_deriv
+
+
 @lru_cache(maxsize=8192)
 def zeta_K_continued(s: complex) -> complex:
-    """Dedekind zeta of the Gaussian field, all s != 1, via the splitting
-    into the Riemann zeta times the quartic Dirichlet L-value (the latter
-    from Hurwitz zetas)."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("Dedekind zeta pole at s = 1")
-    with mpmath.workdps(25):
-        sm = mpmath.mpc(s)
-        beta = 4 ** (-sm) * (mpmath.zeta(sm, mpmath.mpf(1) / 4)
-                             - mpmath.zeta(sm, mpmath.mpf(3) / 4))
-        return complex(mpmath.zeta(sm) * beta)
+    """Dedekind zeta of the Gaussian field, all s != 1, as zeta(s) times the
+    Dirichlet L-value of the character mod 4, both from float64
+    Euler-Maclaurin sums of Hurwitz zetas (the one-point call of the array
+    engine `_zeta_K`).
+
+    Against 25-digit mpmath it agrees to about 1e-12 relative for
+    |Im s| <= 400 (rounding of the phases t log n, growing with |Im s|).
+    For Re s < 1/2 (with |s| > 1/2) the value comes from the functional
+    equation at 1 - s. Raises PoleError within 1e-12 of s = 1.
+    """
+    return complex(_zeta_K([complex(s)])[0])
+
+
+def zeta_K_log_derivative(s: complex) -> complex:
+    """zeta_K'/zeta_K(s) = zeta'/zeta - ln 4 + (d zeta(s, 1/4) - d zeta(s,
+    3/4)) / (zeta(s, 1/4) - zeta(s, 3/4)), the derivatives taken from the
+    same Euler-Maclaurin sums as the values."""
+    return complex(_zeta_K([complex(s)], derivative=True)[1][0])
+
+
+def l_function_values(s, n: int) -> np.ndarray:
+    """L(s, chi_n) at every entry of s (flattened): one array call of the
+    float64 engine for n = 0, the pointwise l_function_continued otherwise."""
+    s = np.asarray(s, dtype=complex).ravel()
+    if n == 0:
+        return _zeta_K(s)
+    return np.array([l_function_continued(complex(v), n) for v in s],
+                    dtype=complex)
 
 
 @lru_cache(maxsize=8192)

@@ -26,14 +26,16 @@ from fractions import Fraction
 from math import cos, factorial, log, pi, sqrt
 
 import numpy as np
+from scipy.special import loggamma
 
 from .eisenstein import (SeriesParams, TestFunctionPsi, TruncationConfig,
                          _constant_terms, fourier_evaluator)
 from .h3 import (GroupElementSL2C, H3Point, QuadResult, frame_transport,
                  integrate_dV)
 from .lseries import (SyntheticCuspCoefficients, l_function_continued,
-                      zeta_K_continued)
-from .specfun import PoleError, digamma, digamma_shifted, log_gamma
+                      l_function_values, zeta_K_continued,
+                      zeta_K_log_derivative)
+from .specfun import digamma, digamma_shifted, log_gamma
 from .su2 import (SU2_IDENTITY, SpectralIndex, SU2Element, b_factor,
                   check_index, haar_grid, haar_integrate, t_basis,
                   wigner_D_su2, wigner_monomial, xi_weight)
@@ -520,12 +522,6 @@ class IncompletePairingResult:
         return self.f1 + self.f2
 
 
-def _zeta_log_derivative(s: complex, h: float = 1e-6) -> complex:
-    s = complex(s)
-    num = (zeta_K_continued(s + h) - zeta_K_continued(s - h)) / (2.0 * h)
-    return num / zeta_K_continued(s)
-
-
 def _mellin_log_derivative(psi: TestFunctionPsi, s: float = 2.0,
                            h: float = 1e-6) -> complex:
     num = (psi.mellin(s + h) - psi.mellin(s - h)) / (2.0 * h)
@@ -562,38 +558,37 @@ def _contour_cut(psi: TestFunctionPsi, step: float) -> float:
 
 def _line_integrand(l: int, a: int, b: int, t: float, psi: TestFunctionPsi,
                     n_terms: int, h_floor: float):
-    """Vector over u of the line integrand at s = 1 + i tau, already divided
-    by the two gamma factors of the outer denominator (log-space assembly
-    keeps the exponentially small/large pieces balanced)."""
+    """Rows over u of the line integrand at s = 1 + i tau, one row per entry
+    of the node array taus, already divided by the two gamma factors of the
+    outer denominator (log-space assembly keeps the exponentially
+    small/large pieces balanced). Each L-factor is one array call over the
+    nodes."""
     h2 = abs(a + b) // 2
     it = 1j * t
     lg_den = log_gamma(1.0 + it)
+    lu = l - np.arange(n_terms)              # l - u, one column per u
 
-    def values(tau: float) -> np.ndarray:
-        out = np.zeros(n_terms, dtype=complex)
-        s = complex(1.0, tau)
-        hval = complex(psi.mellin(s))
-        if abs(hval) <= h_floor:
-            return out
-        try:
-            den = l_function_continued(s, 2 * b)
-        except PoleError:
+    def values(taus: np.ndarray) -> np.ndarray:
+        out = np.zeros((taus.size, n_terms), dtype=complex)
+        s = 1.0 + 1j * taus
+        hval = psi.mellin(s)
+        keep = np.abs(hval) > h_floor
+        if b == 0:
             # tau = 0 lands on the pole of the denominator zeta; the
             # integrand itself vanishes there.
-            return out
-        ell = (l_function_continued(s / 2.0, a + b)
-               * l_function_continued(s / 2.0 + it, a + b)
-               * l_function_continued(s / 2.0 - it, b - a)
-               * l_function_continued(s / 2.0, b - a))
-        base = hval * ell / (cmath.exp(s * log(pi)) * den)
-        for u in range(n_terms):
-            lg = (log_gamma(s / 2.0 + l - u - h2)
-                  + log_gamma(s / 2.0 + h2 + it)
-                  + log_gamma(s / 2.0 + l - u - h2 - it)
-                  + log_gamma(s / 2.0 + h2)
-                  - log_gamma(s + l - u)
-                  - lg_den - log_gamma(1.0 + l - u - it))
-            out[u] = base * cmath.exp(lg)
+            keep &= np.abs(s - 1.0) >= 1e-12
+        s, hval = s[keep], hval[keep]
+        half = l_function_values(s / 2.0, a + b)
+        ell = (half * l_function_values(s / 2.0 + it, a + b)
+               * l_function_values(s / 2.0 - it, b - a)
+               * (half if a == 0 else l_function_values(s / 2.0, b - a)))
+        den = l_function_values(s, 2 * b)
+        base = hval * ell / (np.exp(s * log(pi)) * den)
+        hs = s[:, None] / 2.0
+        lg = (loggamma(hs + lu - h2) + loggamma(hs + h2 + it)
+              + loggamma(hs + lu - h2 - it) + loggamma(hs + h2)
+              - loggamma(2.0 * hs + lu) - lg_den - loggamma(1.0 + lu - it))
+        out[keep] = base[:, None] * np.exp(lg)
         return out
     return values
 
@@ -602,31 +597,22 @@ def _contour_terms(l: int, a: int, b: int, t: float, psi: TestFunctionPsi,
                    n_terms: int, step: float, tol: float) -> np.ndarray:
     """(1/2 pi i) times the line integral on Re s = 1, per u, divided by the
     outer gamma pair: trapezoid at the given step, halved until two passes
-    agree to the requested relative tolerance."""
+    agree to the requested relative tolerance. A halving evaluates only its
+    new nodes (the odd multiples of the new step), all at once, and adds
+    them to the running node sum."""
     T = _contour_cut(psi, step)
     peak = abs(complex(psi.mellin(1.0)))
     integrand = _line_integrand(l, a, b, t, psi, n_terms, 1e-14 * peak)
-    cache = {}
-
-    def node(tau: float) -> np.ndarray:
-        got = cache.get(tau)
-        if got is None:
-            got = integrand(tau)
-            cache[tau] = got
-        return got
-
-    def trapezoid(h: float) -> np.ndarray:
-        n = int(round(2.0 * T / h))
-        total = 0.5 * (node(-T) + node(-T + n * h))
-        for j in range(1, n):
-            total = total + node(-T + j * h)
-        return total * (h / (2.0 * pi))
-
-    prev = trapezoid(step)
     h = step
+    n = int(round(2.0 * T / h))
+    rows = integrand(-T + h * np.arange(n + 1))
+    node_sum = 0.5 * (rows[0] + rows[-1]) + rows[1:-1].sum(axis=0)
+    prev = node_sum * (h / (2.0 * pi))
     for _ in range(6):
         h /= 2.0
-        cur = trapezoid(h)
+        n *= 2
+        node_sum += integrand(-T + h * np.arange(1, n, 2)).sum(axis=0)
+        cur = node_sum * (h / (2.0 * pi))
         scale = max(float(np.max(np.abs(cur))), 1e-15 * peak)
         if float(np.max(np.abs(cur - prev))) <= tol * scale:
             return cur
@@ -649,10 +635,10 @@ def _residue_terms(l: int, a: int, b: int, t: float,
     if a == 0 and b == 0:
         zz = (zeta_K_continued(complex(1.0, t))
               * zeta_K_continued(complex(1.0, -t)))
-        zp = 0.5 * (_zeta_log_derivative(complex(1.0, t))
-                    + _zeta_log_derivative(complex(1.0, -t)))
+        zp = 0.5 * (zeta_K_log_derivative(complex(1.0, t))
+                    + zeta_K_log_derivative(complex(1.0, -t)))
         hlog = _mellin_log_derivative(psi)
-        zp2 = _zeta_log_derivative(2.0 + 0.0j)
+        zp2 = zeta_K_log_derivative(2.0 + 0.0j)
         for u in range(n_terms):
             lu = l - u
             dsh = digamma_shifted(complex(1.0, -t), lu) if lu \

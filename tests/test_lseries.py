@@ -10,9 +10,11 @@ from picard_eisenstein.gaussian import (
 from picard_eisenstein.lseries import (
     HeckeCharacter, LSeriesParams, SyntheticCuspCoefficients, d_sum_closed,
     d_sum_direct, hecke_character, l_function, l_function_continued,
-    lfc_identity_check, moebius_gauss, ramanujan_identity_check,
-    sigma_twisted, zeta_K, zeta_K_continued,
+    l_function_values, lfc_identity_check, moebius_gauss,
+    ramanujan_identity_check, sigma_twisted, zeta_K, zeta_K_continued,
+    zeta_K_log_derivative,
 )
+from picard_eisenstein.specfun import PoleError
 
 RNG = np.random.default_rng(771230)
 
@@ -101,6 +103,67 @@ class TestLFunction:
         for t in (10.0, 50.0, 100.0, 200.0):
             v = abs(zeta_K_continued(1.0 + 1j * t))
             assert log(t) ** (-2) / 10 < v < 10 * log(t) ** 2
+
+
+def zeta_K_mpmath(s, dps: int = 25):
+    """Oracle: zeta(s) 4^{-s} (zeta(s, 1/4) - zeta(s, 3/4)) from mpmath's
+    Hurwitz zeta at dps digits, returned as an mpmath number."""
+    with mpmath.workdps(dps):
+        sm = mpmath.mpc(s)
+        beta = 4 ** (-sm) * (mpmath.zeta(sm, mpmath.mpf(1) / 4)
+                             - mpmath.zeta(sm, mpmath.mpf(3) / 4))
+        return mpmath.zeta(sm) * beta
+
+
+def zeta_grid():
+    rng = np.random.default_rng(20261018)
+    taus = np.concatenate([rng.uniform(-400.0, 400.0, 14),
+                           [-400.0, -3.7, 0.4, 25.0, 400.0]])
+    return np.array([complex(sigma, tau)
+                     for sigma in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+                     for tau in taus])
+
+
+class TestZetaEngine:
+    def test_matches_mpmath_oracle_on_grid(self):
+        s = zeta_grid()
+        want = np.array([complex(zeta_K_mpmath(v)) for v in s])
+        batched = l_function_values(s, 0)
+        scalar = np.array([zeta_K_continued(complex(v)) for v in s])
+        for got in (batched, scalar):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-10
+
+    def test_near_the_pole(self):
+        for s in (1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 0.05j):
+            want = complex(zeta_K_mpmath(s))
+            assert abs(zeta_K_continued(s) - want) <= 1e-10 * abs(want)
+
+    def test_pole_at_one(self):
+        with pytest.raises(PoleError):
+            zeta_K_continued(1.0 + 0.0j)
+        with pytest.raises(PoleError):
+            l_function_values([2.0, 1.0], 0)
+
+    def test_no_mpmath_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.zeta called")
+        monkeypatch.setattr(mpmath, "zeta", refuse)
+        zeta_K_continued.cache_clear()
+        for s in (2.0, 0.5 + 123.25j, -1.5 + 40.0j, 1.0 - 200.0j):
+            zeta_K_continued(complex(s))
+            zeta_K_log_derivative(complex(s))
+
+    def test_log_derivative_against_numerical_derivative(self):
+        # mpmath.diff raises the working precision while it steps, so the
+        # oracle runs at whatever precision is current
+        f = lambda x: zeta_K_mpmath(x, mpmath.mp.dps)
+        for s in (2.0, 1 + 20j, 1 - 20j, 1 + 80j, 1 - 80j, 1 + 200j,
+                  1 - 200j):
+            with mpmath.workdps(30):
+                x = mpmath.mpc(s)
+                want = complex(mpmath.diff(f, x) / f(x))
+            got = zeta_K_log_derivative(s)
+            assert abs(got - want) <= 1e-10 * abs(want)
 
 
 class TestMoebius:
@@ -201,13 +264,7 @@ class TestDSum:
     def test_zero_frequency_branch(self):
         # continued-ratio value against an independently assembled oracle
         val = d_sum_closed(0, 0.0, 0.5)
-        with mpmath.workdps(40):
-            def zk(s):
-                beta = 4 ** (-mpmath.mpf(s)) * (
-                    mpmath.zeta(s, mpmath.mpf(1) / 4)
-                    - mpmath.zeta(s, mpmath.mpf(3) / 4))
-                return mpmath.zeta(s) * beta
-            oracle = 4 * zk(0.5) / zk(1.5)
+        oracle = 4 * zeta_K_mpmath(0.5, 40) / zeta_K_mpmath(1.5, 40)
         assert abs(val - complex(oracle)) < 1e-10
 
     def test_region_errors(self):

@@ -1,3 +1,4 @@
+import cmath
 from math import comb, cos, exp, factorial, log, pi, sqrt
 
 import mpmath
@@ -16,7 +17,9 @@ from picard_eisenstein.microlocal import (
     mock_l_provider, reduce_to_fundamental, scan_t, verify_lemma_integral,
     verify_suma_es0,
 )
-from picard_eisenstein.microlocal import _reduce_arrays
+from picard_eisenstein.lseries import l_function_continued
+from picard_eisenstein.microlocal import _line_integrand, _reduce_arrays
+from picard_eisenstein.specfun import PoleError, log_gamma
 from picard_eisenstein.su2 import (
     SpectralIndex, haar_grid, random_su2, xi_weight,
 )
@@ -301,6 +304,69 @@ class TestIncompletePairing:
                 - mpmath.zeta(s, mpmath.mpf(3) / 4))
             want = float(zk - mpmath.pi / 4 / h)
         assert abs(ZETA_K_CONSTANT_TERM - want) <= 1e-15
+
+
+def line_integrand_reference(l, a, b, t, psi, n_terms, h_floor, tau):
+    """Reference: the integrand row at one node, one L-value call per
+    factor (the per-node body the batched passes replaced)."""
+    h2 = abs(a + b) // 2
+    it = 1j * t
+    lg_den = log_gamma(1.0 + it)
+    out = np.zeros(n_terms, dtype=complex)
+    s = complex(1.0, tau)
+    hval = complex(psi.mellin(s))
+    if abs(hval) <= h_floor:
+        return out
+    try:
+        den = l_function_continued(s, 2 * b)
+    except PoleError:
+        return out
+    ell = (l_function_continued(s / 2.0, a + b)
+           * l_function_continued(s / 2.0 + it, a + b)
+           * l_function_continued(s / 2.0 - it, b - a)
+           * l_function_continued(s / 2.0, b - a))
+    base = hval * ell / (cmath.exp(s * log(pi)) * den)
+    for u in range(n_terms):
+        lg = (log_gamma(s / 2.0 + l - u - h2)
+              + log_gamma(s / 2.0 + h2 + it)
+              + log_gamma(s / 2.0 + l - u - h2 - it)
+              + log_gamma(s / 2.0 + h2)
+              - log_gamma(s + l - u)
+              - lg_den - log_gamma(1.0 + l - u - it))
+        out[u] = base * cmath.exp(lg)
+    return out
+
+
+class TestLineIntegral:
+    TAUS = (-3.1, -0.05, 0.0, 0.05, 2.7)
+
+    @pytest.mark.parametrize("l, a, b, psi", [
+        (0, 0, 0, TestFunctionPsi()),
+        (0, 0, 0, TestFunctionPsi(kind="compact-bump", support=(1.0, 4.0))),
+        (2, 2, 2, TestFunctionPsi()),
+    ])
+    def test_batched_rows_match_per_node_reference(self, l, a, b, psi):
+        t = 12.0
+        n_terms = l - (abs(b + a) + abs(b - a)) // 2 + 1
+        h_floor = 1e-14 * abs(complex(psi.mellin(1.0)))
+        rows = _line_integrand(l, a, b, t, psi, n_terms,
+                               h_floor)(np.array(self.TAUS))
+        assert rows.shape == (len(self.TAUS), n_terms)
+        for tau, row in zip(self.TAUS, rows):
+            want = line_integrand_reference(l, a, b, t, psi, n_terms,
+                                            h_floor, tau)
+            if tau == 0.0 and b == 0:
+                assert np.all(row == 0.0) and np.all(want == 0.0)
+                continue
+            assert np.max(np.abs(row - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t, want", [(35.0, 82266.84512415189),
+                                         (65.0, 106012.80377749284)])
+    def test_pairing_matches_mpmath_era_values(self, t, want):
+        # values of the per-node mpmath line integral at the same settings
+        r = incomplete_pairing(SpectralIndex.make(0, 0, 0),
+                               TestFunctionPsi(width=3.0), t)
+        assert r.value == pytest.approx(want, rel=1e-8)
 
 
 class TestIdentities:
