@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
-from math import exp, log, pi, sqrt
+from dataclasses import dataclass
+from math import exp, pi, sqrt
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .eisenstein import (SeriesParams, TestFunctionPsi, TruncationConfig,
                          eisenstein_coset_sum, eisenstein_fourier_group,
                          f_seed)
 from .gaussian import (GaussInt, divisors, enumerate_coset_reps, factor_gauss,
-                       gauss_xgcd, gaussian_primes, is_coprime)
+                       gauss_xgcd, is_coprime)
 from .h3 import GroupElementSL2C, H3Point
 from .lseries import (SyntheticCuspCoefficients, d_sum_closed, d_sum_direct,
                       lfc_identity_check, ramanujan_identity_check,
@@ -35,6 +34,11 @@ from .su2 import (SpectralIndex, euler_decompose, haar_grid, random_su2,
                   wigner_symmetries_check)
 
 
+#: largest accepted truncation bound: a lattice bound N allocates two
+#: (2 sqrt(N) + 1)^2 int64 grids, 32 MB each at this value
+MAX_NORM_BOUND = 10 ** 6
+
+
 @dataclass
 class RunConfig:
     coset_norm_bound: int = 1000
@@ -42,36 +46,39 @@ class RunConfig:
     out: str = ""
     format: str = "csv"
     seed: int = 20210
-    index_gamma_inf: int = 4
-    workers: int = 0  # 0: take PICARD_EISENSTEIN_WORKERS or 1
 
     def __post_init__(self):
-        if self.coset_norm_bound < 1 or self.lattice_norm_bound < 1:
-            raise ValueError("truncation bounds must be positive")
+        if not (1 <= self.coset_norm_bound <= MAX_NORM_BOUND
+                and 1 <= self.lattice_norm_bound <= MAX_NORM_BOUND):
+            raise ValueError("truncation bounds must lie in "
+                             f"[1, {MAX_NORM_BOUND}]")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
 
 
+# RunConfig field -> command-line flag (argparse dest) that sets it
+_CONFIG_FLAGS = (("coset_norm_bound", "coset_bound"),
+                 ("lattice_norm_bound", "lattice_bound"),
+                 ("out", "out"), ("format", "format"), ("seed", "seed"))
+
+
 def build_config(args) -> RunConfig:
-    """Flags > config file > defaults."""
+    """Flags > config file > defaults. The file may set only the fields
+    whose flags the subcommand has."""
+    fields = {field: flag for field, flag in _CONFIG_FLAGS
+              if hasattr(args, flag)}
     merged = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        allowed = set(RunConfig.__dataclass_fields__)
-        bad = set(data) - allowed
+        bad = set(data) - set(fields)
         if bad:
             raise ValueError(f"unknown config keys: {sorted(bad)}")
         merged.update(data)
-    for field, flag in (("coset_norm_bound", "coset_bound"),
-                        ("lattice_norm_bound", "lattice_bound"),
-                        ("out", "out"), ("format", "format"),
-                        ("seed", "seed"),
-                        ("index_gamma_inf", "index_gamma_inf"),
-                        ("workers", "workers")):
-        val = getattr(args, flag, None)
+    for field, flag in fields.items():
+        val = getattr(args, flag)
         if val is not None:
             merged[field] = val
     return RunConfig(**merged)
@@ -253,7 +260,7 @@ def _suite_eisenstein(cfg: RunConfig):
             g = (GroupElementSL2C.translation(p.z)
                  * GroupElementSL2C.dilation(p.lam))
             cs = eisenstein_coset_sum(params, g)
-            fv = eisenstein_fourier_group(params, g, cfg.index_gamma_inf)
+            fv = eisenstein_fourier_group(params, g)
             budget = max(1e-4 * max(abs(cs.value), 1e-30),
                          3.0 * cs.tail_bound)
             worst = max(worst, abs(cs.value - fv) / budget)
@@ -306,8 +313,7 @@ def _suite_mellin(cfg: RunConfig):
         worst = 0.0
         for s in (1.5, 2.0):
             d = mellin_direct_result(f, s)
-            e = mellin_eisenstein_result(
-                f, s, index_gamma_inf=cfg.index_gamma_inf)
+            e = mellin_eisenstein_result(f, s)
             budget = max(1e-3,
                          3.0 * (d.error_estimate + e.error_estimate))
             worst = max(worst, abs(d.value - e.value) / budget)
@@ -361,8 +367,7 @@ def cmd_verify(args) -> int:
         print(f"{check:<{width}} {dev:12.3e}  (tol {tol:.0e})  {status}")
     if cfg.out:
         _emit(cfg, ("check", "deviation", "tolerance", "status"), rows,
-              {"command": "verify", "suite": args.suite,
-               "seed": cfg.seed, "index_gamma_inf": cfg.index_gamma_inf})
+              {"command": "verify", "suite": args.suite, "seed": cfg.seed})
     failed = [r for r in rows if r[3] != "pass"]
     if failed:
         print(f"{len(failed)} of {len(rows)} checks failed")
@@ -373,10 +378,7 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = build_config(args)
-    if args.series == "scalar":
-        index = SpectralIndex.make(0, 0, 0)
-    else:
-        index = SpectralIndex.make(args.l, args.k, args.m)
+    index = SpectralIndex.make(args.l, args.k, args.m)
     s = complex(args.s_re, args.s_im)
     if args.route in ("coset", "both") and not s.real > 1.0:
         raise ValueError("the coset route requires Re(s) > 1")
@@ -399,7 +401,7 @@ def cmd_eval(args) -> int:
         out["coset_re"], out["coset_im"] = cs.value.real, cs.value.imag
         out["coset_tail"] = cs.tail_bound
     if args.route in ("fourier", "both"):
-        fv = eisenstein_fourier_group(params, g, cfg.index_gamma_inf)
+        fv = eisenstein_fourier_group(params, g)
         out["fourier_re"], out["fourier_im"] = fv.real, fv.imag
     if args.route == "both":
         out["deviation"] = abs(cs.value - fv)
@@ -423,22 +425,25 @@ def cmd_scan(args) -> int:
     if args.steps < 2:
         raise ValueError("need at least 2 steps")
     grid = list(np.linspace(args.t_min, args.t_max, args.steps))
-    workers = cfg.workers or int(os.environ.get(
-        "PICARD_EISENSTEIN_WORKERS", "1"))
-    scan_cfg = {"workers": workers}
-    if args.task == "incomplete":
-        scan_cfg["index"] = SpectralIndex.make(args.l, args.a, args.b)
-        scan_cfg["include_contour"] = not args.no_contour
-    rows = scan_t(args.task, grid, scan_cfg)
     meta = {"command": "scan", "task": args.task,
             "t_min": _g17(args.t_min), "t_max": _g17(args.t_max),
-            "steps": args.steps, "seed": cfg.seed,
-            "index_gamma_inf": cfg.index_gamma_inf,
-            "coset_norm_bound": cfg.coset_norm_bound,
-            "lattice_norm_bound": cfg.lattice_norm_bound}
+            "steps": args.steps}
+    scan_cfg = {}
     if args.task == "incomplete":
-        meta["index"] = f"({args.l},{args.a},{args.b})"
-        meta["include_contour"] = not args.no_contour
+        l, a, b = (v or 0 for v in (args.l, args.a, args.b))
+        include = not args.no_contour
+        scan_cfg = {"index": SpectralIndex.make(l, a, b),
+                    "include_contour": include}
+        meta.update(index=f"({l},{a},{b})", include_contour=include)
+    else:
+        given = [flag for flag, val in (("--l", args.l), ("--a", args.a),
+                                        ("--b", args.b),
+                                        ("--no-contour", args.no_contour))
+                 if val is not None]
+        if given:
+            raise ValueError(f"{', '.join(given)}: valid only with "
+                             "--task incomplete")
+    rows = scan_t(args.task, grid, scan_cfg)
     _emit(cfg, ("t", "value_re", "value_im", "main_term", "value_over_lnt"),
           [(r.t, r.value.real, r.value.imag, r.main_term, r.value_over_lnt)
            for r in rows], meta)
@@ -452,24 +457,21 @@ def make_parser() -> argparse.ArgumentParser:
                     "bundle: verification suites, evaluation, scans.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, bounds=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--coset-bound", dest="coset_bound", type=int)
-        p.add_argument("--lattice-bound", dest="lattice_bound", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--index-gamma-inf", dest="index_gamma_inf", type=int)
-        p.add_argument("--workers", type=int)
+        if bounds:
+            p.add_argument("--coset-bound", dest="coset_bound", type=int)
+            p.add_argument("--lattice-bound", dest="lattice_bound", type=int)
 
     pv = sub.add_parser("verify", help="run an invariant/identity suite")
     pv.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    pv.add_argument("--seed", type=int)
     add_common(pv)
     pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("eval", help="evaluate a series value")
-    pe.add_argument("--series", choices=("scalar", "general"),
-                    default="scalar")
     pe.add_argument("--l", type=int, default=0)
     pe.add_argument("--k", type=int, default=0)
     pe.add_argument("--m", type=int, default=0)
@@ -487,12 +489,15 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t-min", dest="t_min", type=float, default=50.0)
     ps.add_argument("--t-max", dest="t_max", type=float, default=200.0)
     ps.add_argument("--steps", type=int, default=4)
-    ps.add_argument("--l", type=int, default=0)
-    ps.add_argument("--a", type=int, default=0)
-    ps.add_argument("--b", type=int, default=0)
+    # pairing index (default (0, 0, 0)) and contour switch: --task
+    # incomplete only
+    ps.add_argument("--l", type=int)
+    ps.add_argument("--a", type=int)
+    ps.add_argument("--b", type=int)
     ps.add_argument("--no-contour", dest="no_contour", action="store_true",
+                    default=None,
                     help="skip the slowly decaying line-integral part")
-    add_common(ps)
+    add_common(ps, bounds=False)
     ps.set_defaults(func=cmd_scan)
     return parser
 

@@ -31,6 +31,11 @@ from .su2 import (SpectralIndex, b_factor, wigner_D_su2, wigner_monomial,
 
 _UNITS_C = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
+#: unit-class multiplicity: each of the four diagonal-unit rows (0, u) gives
+#: the leading constant term, and the zero-frequency term carries the same
+#: factor
+INDEX_GAMMA_INF = 4
+
 # five generators of the Gaussian modular group (as SL(2)-matrices):
 # both unit translations, the inversion, the diagonal unit, and the
 # lower unit translation
@@ -48,11 +53,10 @@ class TruncationConfig:
     coset_norm_bound: int = 1000
     lattice_norm_bound: int = 400
     bessel_tol: float = 1e-12
-    quadrature_tol: float = 1e-8
 
     def __post_init__(self):
         if (self.coset_norm_bound < 1 or self.lattice_norm_bound < 1
-                or not self.bessel_tol > 0 or not self.quadrature_tol > 0):
+                or not self.bessel_tol > 0):
             raise ValueError("truncation parameters must be positive")
 
 
@@ -216,12 +220,11 @@ class FourierExpansionTerms:
     nonconstant_terms: dict  # (2w).re, (2w).im -> WaveTermData
 
 
-def _constant_terms(l: int, k: int, m: int, s: complex,
-                    index_gamma_inf: int) -> tuple:
+def _constant_terms(l: int, k: int, m: int, s: complex) -> tuple:
     b = b_factor(l, k, m)
     out = []
     if k == m:
-        out.append(ConstantTermData(index_gamma_inf * b, 1.0 + s))
+        out.append(ConstantTermData(INDEX_GAMMA_INF * b, 1.0 + s))
     if k == -m:
         prod = 1.0 + 0.0j
         for j in range(abs(m) + 1, l + 1):
@@ -231,9 +234,9 @@ def _constant_terms(l: int, k: int, m: int, s: complex,
         # the degenerate (zero-frequency) coefficient carries the same
         # unit-class multiplicity as the leading term: its L-ratio is the
         # per-ideal value of the exponential lattice sum, whose four
-        # associate rows contribute equally (empirical pin: two-route
-        # agreement at Re(s) = 2)
-        coef = (index_gamma_inf * (-1.0) ** (m + abs(m)) * pi * prod
+        # associate rows contribute equally (checked against the direct
+        # lattice sum in test_lseries.py::TestUnitMultiplicity)
+        coef = (INDEX_GAMMA_INF * (-1.0) ** (m + abs(m)) * pi * prod
                 * gamma_complex(abs(m) + s) / gamma_complex(1.0 + l + s)
                 * lrat * b)
         out.append(ConstantTermData(coef, 1.0 - s))
@@ -255,14 +258,13 @@ def _prefactor(l: int, k: int, m: int, s: complex) -> complex:
         * b_factor(l, k, m)
 
 
-def fourier_expansion_terms(params: SeriesParams,
-                            index_gamma_inf: int = 4) -> FourierExpansionTerms:
+def fourier_expansion_terms(params: SeriesParams) -> FourierExpansionTerms:
     """Assembled coefficient data of the expansion: both constant-term
     coefficients and, for every frequency with |2w|^2 <= lattice_norm_bound,
     its exponential-sum value, angular factor, and Bessel/gamma data."""
     s = complex(params.s)
     l, k, m = params.lkm()
-    consts = () if m % 2 else _constant_terms(l, k, m, s, index_gamma_inf)
+    consts = () if m % 2 else _constant_terms(l, k, m, s)
     waves = {}
     if m % 2 == 0:
         udata = _u_data(l, k, m, s)
@@ -284,8 +286,7 @@ def fourier_expansion_terms(params: SeriesParams,
     return FourierExpansionTerms(_prefactor(l, k, m, s), consts, waves)
 
 
-def fourier_evaluator(params: SeriesParams, rows, lam_min: float,
-                      index_gamma_inf: int = 4):
+def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
     """Vectorized evaluator of the Fourier-Bessel expansion of the series at
     the indices (l, a, m), a in rows, at heights lam >= lam_min.
 
@@ -310,8 +311,7 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float,
                    int((x_cut / (2.0 * pi * lam_min)) ** 2))
     terms = fourier_expansion_terms(
         replace(params, truncation=replace(
-            trunc, lattice_norm_bound=max(norm_cut, 1))),
-        index_gamma_inf)
+            trunc, lattice_norm_bound=max(norm_cut, 1))))
     waves = terms.nonconstant_terms
     two_w = np.array(list(waves), dtype=float).reshape(-1, 2)
     norm = two_w[:, 0] ** 2 + two_w[:, 1] ** 2
@@ -319,7 +319,7 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float,
     absw = np.abs(wc)
     dcoef = np.array([wt.d_value for wt in waves.values()],
                      dtype=complex) * absw ** (s - 1.0)
-    row_data = [(_constant_terms(l, a, m, s, index_gamma_inf),
+    row_data = [(_constant_terms(l, a, m, s),
                  _u_data(l, a, m, s), dcoef * (wc / absw) ** (-a - m),
                  _prefactor(l, a, m, s)) for a in rows]
 
@@ -356,27 +356,26 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float,
     return evaluate
 
 
-def eisenstein_fourier(params: SeriesParams, p: H3Point,
-                       index_gamma_inf: int = 4) -> complex:
+def eisenstein_fourier(params: SeriesParams, p: H3Point) -> complex:
     """Value of the series at the point z + lam*j assembled from its
     Fourier-Bessel expansion; valid wherever the coefficient L-values are
     (everything but the excluded polar set), in particular on the critical
     line where it defines the continued series."""
     k = params.lkm()[1]
-    ev = fourier_evaluator(params, [k], p.lam, index_gamma_inf)
+    ev = fourier_evaluator(params, [k], p.lam)
     return complex(ev(p.z, p.lam)[0])
 
 
-def eisenstein_fourier_group(params: SeriesParams, g: GroupElementSL2C,
-                             index_gamma_inf: int = 4) -> complex:
+def eisenstein_fourier_group(params: SeriesParams,
+                             g: GroupElementSL2C) -> complex:
     """Expansion route at a general group element: evaluate the a-vector at
     the Iwasawa point and contract with the rotation part."""
     l, k, _ = params.lkm()
     co = iwasawa_decompose(g)
     return _combine_rotation(
         l, k, co.k.inv(),
-        lambda rows: fourier_evaluator(params, rows, co.height,
-                                       index_gamma_inf)(co.z, co.height))
+        lambda rows: fourier_evaluator(params, rows, co.height)(
+            co.z, co.height))
 
 
 # -- test functions on the height axis and their Mellin transforms ---------------
@@ -472,7 +471,6 @@ class IncompleteSeriesResult:
 def incomplete_series(index: SpectralIndex, psi: TestFunctionPsi,
                       g: GroupElementSL2C,
                       truncation: TruncationConfig | None = None,
-                      index_gamma_inf: int = 4,
                       sigma0: float = 3.0,
                       routes: str = "both") -> IncompleteSeriesResult:
     """The series smoothed over the height axis by psi, computed twice:
@@ -540,7 +538,7 @@ def incomplete_series(index: SpectralIndex, psi: TestFunctionPsi,
                     e_val = _combine_rotation(
                         l, a_idx, kinv,
                         lambda rows: fourier_evaluator(
-                            params, rows, lam, index_gamma_inf)(z, lam))
+                            params, rows, lam)(z, lam))
                     total += (wq * width / 2.0
                               * psi.mellin(complex(sigma0, tau)) * e_val)
         return total / (2.0 * pi)

@@ -19,8 +19,6 @@ dlam/lam (see TestFunctionPsi.mellin).
 from __future__ import annotations
 
 import cmath
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, factorial, log, pi, sqrt
@@ -349,9 +347,9 @@ def mellin_direct_result(f: FiberFunction, s: complex,
     return integrate_dV(g, "strip", tol=(tol if tol is not None else 1e-10))
 
 
-def mellin_eisenstein_result(f: InvariantFiberFunction, s: complex,
-                             truncation: TruncationConfig | None = None,
-                             index_gamma_inf: int = 4) -> QuadResult:
+def mellin_eisenstein_result(
+        f: InvariantFiberFunction, s: complex,
+        truncation: TruncationConfig | None = None) -> QuadResult:
     """Spectral route: the same transform written as a pairing of each seed
     against the continued series over the band box. Unfolding the strip to
     the quotient and back to the box turns the seed (l, k, m) into the
@@ -371,8 +369,7 @@ def mellin_eisenstein_result(f: InvariantFiberFunction, s: complex,
             continue  # odd k: the paired series vanishes identically
         params = SeriesParams(SpectralIndex(sd.l, -sd.two_m, -sd.two_k), s,
                               trunc)
-        series = fourier_evaluator(params, [params.lkm()[1]], lo,
-                                   index_gamma_inf)
+        series = fourier_evaluator(params, [params.lkm()[1]], lo)
         f1, f2 = sd.frequency
         psi = f.psi
 
@@ -458,8 +455,8 @@ def gamma_factor_block(spec: CuspFormSpec, t: float) -> float:
     return abs(cmath.exp(lg0 + base)) * abs(vsum)
 
 
-def cusp_pairing_formula(spec: CuspFormSpec, t: float, provider=None,
-                         constant_factor: float = 1.0) -> complex:
+def cusp_pairing_formula(spec: CuspFormSpec, t: float,
+                         provider=None) -> complex:
     """Pairing of the synthetic cusp form against the degenerate spectral
     measure at parameter t, assembled from provided L-values.
 
@@ -467,10 +464,9 @@ def cusp_pairing_formula(spec: CuspFormSpec, t: float, provider=None,
     rotations unless p + q = 0 mod 4, in which case the value is 0 without
     touching any L-function. Otherwise four L-values are requested from
     provider(kind, s, chi_index); if any request returns None the full list
-    of missing values is raised. constant_factor multiplies the result (the
-    leading lattice constant appears in two printed strengths, 4 and 16;
-    the default keeps the assembled normalization and the switch makes the
-    alternative testable).
+    of missing values is raised. The leading lattice constant enters at
+    strength 4 (it is printed in two strengths, 4 and 16; no second route
+    settles which one holds).
     """
     l, p, q = spec.index.l, spec.index.k, spec.index.m
     t = float(t)
@@ -500,7 +496,7 @@ def cusp_pairing_formula(spec: CuspFormSpec, t: float, provider=None,
     base, vsum = _cusp_v_sum(l, p, q, vlogs)
     angular = (-1.0) ** int(l - p) * 1j ** (-pq % 4)
     power = cmath.exp((-1.0 + ir + 2.0 * it) * log(pi))
-    return (constant_factor * angular * power * cusp1 * cusp2
+    return (angular * power * cusp1 * cusp2
             / (zeta1t * char1) * cmath.exp(lg0 + base) * vsum)
 
 
@@ -711,8 +707,8 @@ def incomplete_pairing(index: SpectralIndex, psi: TestFunctionPsi, t: float,
         return IncompletePairingResult(zero, zero, 0.0, zero, zero, zero)
     it = 1j * float(t)
     f1 = zero
-    for c1 in _constant_terms(0, 0, 0, it, 4):
-        for c2 in _constant_terms(l, -b, -a, -it, 4):
+    for c1 in _constant_terms(0, 0, 0, it):
+        for c2 in _constant_terms(l, -b, -a, -it):
             power = c1.exponent + c2.exponent
             if abs(power - 2.0) < 1e-12:
                 # balanced height powers: the Mellin-inverted pairing turns
@@ -799,10 +795,10 @@ def scan_t(task: str, t_grid, config: dict | None = None) -> list:
 
     task "incomplete": value is the full pairing at config["index"]
     (default trivial) with config["psi"] (default unit log-gaussian).
-    task "cusp": value is the mock-provider cusp pairing for config["spec"];
-    the main-term column is 0 there. Work is farmed to a thread pool
-    (config["workers"] or the PICARD_EISENSTEIN_WORKERS variable); results
-    are ordered by t and independent of the pool size.
+    task "cusp": value is the cusp pairing for config["spec"] with
+    config["provider"] (default the mock provider); the main-term column is
+    0 there. The points run one after another in one thread; config keys
+    other than these are ignored.
     """
     cfg = dict(config or {})
     ts = sorted(float(t) for t in t_grid)
@@ -811,27 +807,19 @@ def scan_t(task: str, t_grid, config: dict | None = None) -> list:
     if task == "incomplete":
         index = cfg.get("index") or SpectralIndex(0, 0, 0)
         psi = cfg.get("psi") or TestFunctionPsi()
-        step = float(cfg.get("contour_step", 0.05))
         include = bool(cfg.get("include_contour", True))
 
         def one(t: float) -> ScanRow:
-            r = incomplete_pairing(index, psi, t, contour_step=step,
-                                   include_contour=include)
+            r = incomplete_pairing(index, psi, t, include_contour=include)
             return ScanRow(t, r.value, r.main_term, r.value.real / log(t))
     elif task == "cusp":
         spec = cfg.get("spec") or CuspFormSpec(SpectralIndex.make(2, 0, 0),
                                                r=1.3)
         provider = cfg.get("provider") or mock_l_provider
-        cf = float(cfg.get("constant_factor", 1.0))
 
         def one(t: float) -> ScanRow:
-            v = cusp_pairing_formula(spec, t, provider, cf)
+            v = cusp_pairing_formula(spec, t, provider)
             return ScanRow(t, v, 0.0, v.real / log(t))
     else:
         raise ValueError(f"unknown scan task {task!r}")
-    workers = int(cfg.get("workers")
-                  or os.environ.get("PICARD_EISENSTEIN_WORKERS", "1"))
-    if workers > 1 and len(ts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, ts))
     return [one(t) for t in ts]

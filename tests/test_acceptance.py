@@ -1,12 +1,17 @@
 """End-to-end acceptance checks, one class per numbered criterion."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from math import exp, log, pi, sqrt
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from picard_eisenstein import eisenstein
 from picard_eisenstein.cli import RunConfig, _suite_wigner, main
 from picard_eisenstein.eisenstein import (
     SeriesParams, TestFunctionPsi, TruncationConfig, eisenstein_coset_sum,
@@ -118,10 +123,10 @@ def series_coset_values():
 
 
 class TestCriterion06TwoRouteSeries:
-    def failures(self, index_gamma_inf):
+    def failures(self):
         bad = []
         for key, (params, g, cs) in series_coset_values().items():
-            fv = eisenstein_fourier_group(params, g, index_gamma_inf)
+            fv = eisenstein_fourier_group(params, g)
             budget = max(1e-4 * max(abs(cs.value), 1e-30),
                          3.0 * cs.tail_bound)
             if abs(cs.value - fv) > budget:
@@ -129,11 +134,13 @@ class TestCriterion06TwoRouteSeries:
         return bad
 
     def test_agreement_at_configured_constant(self):
-        assert self.failures(4) == []
+        assert eisenstein.INDEX_GAMMA_INF == 4
+        assert self.failures() == []
 
-    def test_perturbed_constant_breaks_agreement(self):
-        assert self.failures(3)
-        assert self.failures(5)
+    def test_perturbed_constant_breaks_agreement(self, monkeypatch):
+        for wrong in (3, 5):
+            monkeypatch.setattr(eisenstein, "INDEX_GAMMA_INF", wrong)
+            assert self.failures()
 
 
 class TestCriterion07Appendix:
@@ -250,10 +257,11 @@ class TestCriterion11MainTerm:
 
 class TestCriterion12Determinism:
     def run_twice(self, argv, tmp_path, tag):
+        # the first run fills the process-wide caches, the second reads them
         outs = []
-        for workers in ("1", "4"):
-            path = tmp_path / f"{tag}-w{workers}.out"
-            code = main(argv + ["--out", str(path), "--workers", workers])
+        for run in ("cold", "warm"):
+            path = tmp_path / f"{tag}-{run}.out"
+            code = main(argv + ["--out", str(path)])
             assert code == 0
             outs.append(path.read_bytes())
         return outs
@@ -275,3 +283,24 @@ class TestCriterion12Determinism:
             ["scan", "--task", "cusp", "--t-min", "20", "--t-max", "80",
              "--steps", "4", "--format", "json"], tmp_path, "scan-cusp")
         assert a == b
+
+    def test_byte_identical_across_processes(self, tmp_path):
+        # fresh interpreters with different string-hash seeds
+        src = str(Path(eisenstein.__file__).resolve().parents[1])
+        runs = {"lattice": ["verify", "lattice", "--format", "json"],
+                "cusp": ["scan", "--task", "cusp", "--t-min", "20",
+                         "--t-max", "80", "--steps", "4", "--format",
+                         "json"]}
+        for tag, argv in runs.items():
+            outs = []
+            for hashseed in ("0", "1"):
+                path = tmp_path / f"{tag}-{hashseed}.out"
+                env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                           PYTHONPATH=os.pathsep.join(
+                               filter(None, [src,
+                                             os.environ.get("PYTHONPATH")])))
+                subprocess.run([sys.executable, "-m", "picard_eisenstein.cli",
+                                *argv, "--out", str(path)],
+                               env=env, check=True, capture_output=True)
+                outs.append(path.read_bytes())
+            assert outs[0] == outs[1], tag

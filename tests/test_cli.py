@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from picard_eisenstein.cli import main
+from picard_eisenstein.cli import RunConfig, main
 
 
 def run(capsys, *argv):
@@ -38,8 +39,8 @@ class TestVerify:
 
 class TestEval:
     def test_two_routes_agree(self, capsys):
-        code, out, _ = run(capsys, "eval", "--series", "scalar",
-                           "--route", "both", "--format", "json")
+        code, out, _ = run(capsys, "eval", "--route", "both",
+                           "--format", "json")
         assert code == 0
         data = json.loads(out)
         assert data["deviation"] < 1e-2
@@ -47,11 +48,13 @@ class TestEval:
             pytest.approx(data["deviation"])
 
     def test_general_index(self, capsys):
-        code, out, _ = run(capsys, "eval", "--series", "general", "--l", "1",
-                           "--point", "0.2,0.1,1.3", "--route", "fourier",
+        code, out, _ = run(capsys, "eval", "--l", "1", "--point",
+                           "0.2,0.1,1.3", "--route", "fourier",
                            "--format", "json")
         assert code == 0
-        assert "fourier_re" in json.loads(out)
+        data = json.loads(out)
+        assert "fourier_re" in data
+        assert (data["l"], data["k"], data["m"]) == ("1", "0", "0")
 
     def test_coset_route_needs_convergence(self, capsys):
         code, _, err = run(capsys, "eval", "--route", "coset",
@@ -81,12 +84,6 @@ class TestScan:
         ts = [float(ln.split(",")[0]) for ln in body[1:]]
         assert ts == sorted(ts) == [10.0, 25.0, 40.0]
 
-    def test_worker_pool_size_does_not_change_bytes(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(capsys, *self.ARGS, "--out", str(a), "--workers", "1")[0] == 0
-        assert run(capsys, *self.ARGS, "--out", str(b), "--workers", "4")[0] == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_cusp_task_json(self, capsys):
         code, out, _ = run(capsys, "scan", "--task", "cusp", "--t-min", "20",
                            "--t-max", "40", "--steps", "2",
@@ -101,21 +98,40 @@ class TestScan:
                          "--steps", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--l", "0"], ["--a", "2"],
+                                      ["--b", "0"], ["--no-contour"]])
+    def test_cusp_task_refuses_incomplete_flags(self, capsys, flag):
+        code, out, err = run(capsys, "scan", "--task", "cusp", "--t-min",
+                             "20", "--t-max", "40", "--steps", "2", *flag)
+        assert code == 2
+        assert out == ""
+        assert flag[0] in err
+
 
 class TestConfigFile:
     def test_file_values_used_and_flags_win(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "json", "seed": 7}))
+        cfg.write_text(json.dumps({"format": "json"}))
         code, out, _ = run(capsys, "scan", "--task", "cusp", "--t-min", "20",
                            "--t-max", "40", "--steps", "2",
                            "--config", str(cfg))
         assert code == 0
-        assert json.loads(out)["config"]["seed"] == 7
+        assert json.loads(out)["config"]["task"] == "cusp"
         code, out, _ = run(capsys, "scan", "--task", "cusp", "--t-min", "20",
                            "--t-max", "40", "--steps", "2",
                            "--config", str(cfg), "--format", "csv")
         assert code == 0
         assert out.startswith("#")
+        report = tmp_path / "report.json"
+        cfg.write_text(json.dumps({"format": "json", "seed": 7,
+                                   "out": str(report)}))
+        code, _, _ = run(capsys, "verify", "lattice", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(report.read_text())["config"]["seed"] == 7
+        code, _, _ = run(capsys, "verify", "lattice", "--config", str(cfg),
+                         "--seed", "8")
+        assert code == 0
+        assert json.loads(report.read_text())["config"]["seed"] == 8
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -134,3 +150,68 @@ class TestConfigFile:
         code, _, err = run(capsys, "verify", "lattice", "--config", str(cfg))
         assert code == 2
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("key", ["seed", "coset_norm_bound",
+                                     "lattice_norm_bound"])
+    def test_key_without_flag_rejected(self, capsys, tmp_path, key):
+        # scan reads neither a seed nor the truncation bounds
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 7}))
+        code, _, err = run(capsys, "scan", "--task", "cusp", "--t-min", "20",
+                           "--t-max", "40", "--steps", "2",
+                           "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys" in err
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lattice", "--workers", "2"],
+        ["eval", "--workers", "1"],
+        ["scan", "--task", "cusp", "--workers", "1"],
+        ["verify", "lattice", "--index-gamma-inf", "4"],
+        ["eval", "--index-gamma-inf", "4"],
+        ["eval", "--series", "scalar"],
+        ["eval", "--seed", "1"],
+        ["scan", "--task", "cusp", "--seed", "1"],
+        ["scan", "--task", "cusp", "--coset-bound", "100"],
+        ["scan", "--task", "cusp", "--lattice-bound", "100"],
+    ])
+    def test_flag_is_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key", ["workers", "index_gamma_inf"])
+    def test_config_key_is_unknown(self, capsys, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        code, _, err = run(capsys, "verify", "lattice", "--config", str(cfg))
+        assert code == 2
+        assert "unknown config keys" in err
+
+
+class TestOversizedTruncation:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--coset-bound", "1000000000"],
+        ["eval", "--lattice-bound", "1000001"],
+        ["verify", "lfunctions", "--coset-bound", "1000000000"],
+    ])
+    def test_flag_refused_before_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert out == ""
+        assert "truncation bounds" in err
+
+    def test_config_file_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"coset_norm_bound": 10 ** 9}))
+        code, _, err = run(capsys, "eval", "--config", str(cfg))
+        assert code == 2
+        assert "truncation bounds" in err
+
+    def test_largest_bound_accepted(self):
+        cfg = RunConfig(coset_norm_bound=10 ** 6, lattice_norm_bound=10 ** 6)
+        assert cfg.coset_norm_bound == 10 ** 6

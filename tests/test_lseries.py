@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from picard_eisenstein.eisenstein import INDEX_GAMMA_INF
 from picard_eisenstein.gaussian import (
     GaussInt, ONE, UNITS, divisors, gauss_gcd,
 )
@@ -278,6 +279,21 @@ class TestDSum:
             d_sum_closed(1, 0.5, 1.5)   # stated for even k
         with pytest.raises(ValueError):
             d_sum_direct(0, 0.3, 1.5, 100)  # not a half-lattice point
+
+
+class TestUnitMultiplicity:
+    """Second route for the multiplicity eisenstein.INDEX_GAMMA_INF that
+    weights the constant terms: the direct lattice sum at frequency 0 is
+    that multiplicity times the L-ratio of the zero-frequency term."""
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("s", [3.0, 2.5 + 1j])
+    def test_direct_sum_over_l_ratio(self, k, s):
+        ratio = (l_function_continued(complex(s), 2 * k)
+                 / l_function_continued(1.0 + s, 2 * k))
+        direct = d_sum_direct(k, 0, s, 10 ** 5)
+        assert abs(direct / ratio - INDEX_GAMMA_INF) \
+            <= 1e-7 * INDEX_GAMMA_INF
 
 
 class TestRamanujanIdentity:

@@ -397,14 +397,6 @@ class TestScan:
         assert rows[0].main_term == 0.0
         assert abs(rows[0].value) > abs(rows[1].value)
 
-    def test_pool_size_does_not_change_values(self):
-        grid = [15.0, 25.0, 35.0, 45.0]
-        a = scan_t("incomplete", grid, {"include_contour": False,
-                                        "workers": 1})
-        b = scan_t("incomplete", grid, {"include_contour": False,
-                                        "workers": 4})
-        assert a == b
-
     def test_rejects_bad_grid_and_task(self):
         with pytest.raises(ValueError):
             scan_t("incomplete", [0.5, 2.0])
