@@ -20,9 +20,9 @@ from .eisenstein import (SeriesParams, TestFunctionPsi, TruncationConfig,
 from .gaussian import (GaussInt, divisors, enumerate_coset_reps, factor_gauss,
                        gauss_xgcd, is_coprime)
 from .h3 import GroupElementSL2C, H3Point
-from .lseries import (SyntheticCuspCoefficients, d_sum_closed, d_sum_direct,
-                      lfc_identity_check, ramanujan_identity_check,
-                      zeta_K_continued)
+from .lseries import (MAX_NORM_BOUND, SyntheticCuspCoefficients,
+                      d_sum_closed, d_sum_direct, lfc_identity_check,
+                      ramanujan_identity_check, zeta_K_continued)
 from .microlocal import (CuspFormSpec, SeedMode, cusp_pairing_formula,
                          gamma_factor_block, invariant_fiber_function,
                          main_term_coefficient, mellin_direct_result,
@@ -32,11 +32,6 @@ from .specfun import digamma, digamma_shifted
 from .su2 import (SpectralIndex, euler_decompose, haar_grid, random_su2,
                   rot_matrix, spin_cover, t_basis, t_modes, wigner_D_su2,
                   wigner_symmetries_check)
-
-
-#: largest accepted truncation bound: a lattice bound N allocates two
-#: (2 sqrt(N) + 1)^2 int64 grids, 32 MB each at this value
-MAX_NORM_BOUND = 10 ** 6
 
 
 @dataclass

@@ -24,17 +24,20 @@ import numpy as np
 
 from .gaussian import GaussInt, canonical_associate, factor_gauss
 from .h3 import GroupElementSL2C, H3Point, iwasawa_decompose
-from .lseries import _lattice_arrays, l_function_continued, sigma_twisted
+from .lseries import (MAX_NORM_BOUND, _lattice_arrays, l_function_continued,
+                      sigma_twisted)
 from .specfun import bessel_k_complex_array, gamma_complex
 from .su2 import (SpectralIndex, b_factor, wigner_D_su2, wigner_monomial,
                   xi_weight)
-
-_UNITS_C = (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j)
 
 #: unit-class multiplicity: each of the four diagonal-unit rows (0, u) gives
 #: the leading constant term, and the zero-frequency term carries the same
 #: factor
 INDEX_GAMMA_INF = 4
+
+#: target accuracy of the Bessel factors of the expansion; frequencies are
+#: cut where the argument passes -ln(BESSEL_TOL) + 20
+BESSEL_TOL = 1e-12
 
 # five generators of the Gaussian modular group (as SL(2)-matrices):
 # both unit translations, the inversion, the diagonal unit, and the
@@ -52,11 +55,9 @@ GAMMA_GENERATORS = (
 class TruncationConfig:
     coset_norm_bound: int = 1000
     lattice_norm_bound: int = 400
-    bessel_tol: float = 1e-12
 
     def __post_init__(self):
-        if (self.coset_norm_bound < 1 or self.lattice_norm_bound < 1
-                or not self.bessel_tol > 0):
+        if self.coset_norm_bound < 1 or self.lattice_norm_bound < 1:
             raise ValueError("truncation parameters must be positive")
 
 
@@ -115,42 +116,49 @@ def _height_form_min(z: complex, lam: float) -> float:
 
 def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
                     hweight) -> np.ndarray:
-    """Sum of conj(D_{am}(row rotation)) * hweight(row height) over all
-    coprime rows (c, d) with c != 0 and |c|^2 + |d|^2 <= bound, returned as
-    a vector over a = -l..l.
+    """Sum of conj(D_{am}(row rotation)) * hweight(row height) over the
+    cosets of the unipotent subgroup, the coprime rows (c, d) with
+    |c|^2 + |d|^2 <= bound, returned as a vector over a = -l..l.
 
-    The coprimality condition is opened up by Moebius inversion over the
-    squarefree divisors of c (an exact rearrangement of the finite sum);
-    within each block the rows are processed as numpy arrays.
+    A unit u sends the row (c, d) to (uc, ud), which has the same height
+    and the rotation K diag(u, conj u), so each class of four rows sums to
+    sum_u u^{2m} (4 for even m, 0 for odd m) times one of its rows. The sum
+    runs over one row per class, c in the first quadrant (re > 0, im >= 0)
+    or the identity coset (0, 1) of rotation 1 and height lam, and is then
+    multiplied by that unit sum. The coprimality condition is opened up by
+    Moebius inversion over the squarefree divisors of c (an exact
+    rearrangement of the finite sum); within each block the rows are
+    processed as numpy arrays.
     """
     acc = np.zeros(2 * l + 1, dtype=complex)
-    if bound < 1:
+    units = _diagonal_unit_sum(m)
+    if units == 0.0:
         return acc
+    acc[m + l] = hweight(lam)
     re, im, norm = _lattice_arrays(bound)
     canon = np.nonzero((re > 0) & (im >= 0))[0]
     lam2 = lam * lam
     for idx in canon:
         nc = int(norm[idx])
         c0 = GaussInt(int(re[idx]), int(im[idx]))
+        c = complex(c0.re, c0.im)
         rem = bound - nc
         for mu_g, gval, gn in _squarefree_divisors(c0):
             count = int(np.searchsorted(norm, rem // gn, side="right"))
             d_arr = np.empty(count + 1, dtype=complex)
             d_arr[:count] = (re[:count] + 1j * im[:count]) * gval
             d_arr[count] = 0.0  # the d = 0 row; cancels unless c is a unit
-            for unit in _UNITS_C:
-                cu = unit * complex(c0.re, c0.im)
-                t = cu * z + d_arr
-                v2 = np.abs(t) ** 2 + lam2 * nc
-                vroot = np.sqrt(v2)
-                alpha = t / vroot
-                beta = (lam * cu.conjugate()) / vroot
-                wvals = hweight(lam / v2)
-                for a in range(-l, l + 1):
-                    wig = wigner_monomial(2 * l, 2 * a, 2 * m, alpha, beta)
-                    acc[a + l] += mu_g * complex(
-                        np.sum(np.conjugate(wig) * wvals))
-    return acc
+            t = c * z + d_arr
+            v2 = np.abs(t) ** 2 + lam2 * nc
+            vroot = np.sqrt(v2)
+            alpha = t / vroot
+            beta = (lam * c.conjugate()) / vroot
+            wvals = hweight(lam / v2)
+            for a in range(-l, l + 1):
+                wig = wigner_monomial(2 * l, 2 * a, 2 * m, alpha, beta)
+                acc[a + l] += mu_g * complex(
+                    np.sum(np.conjugate(wig) * wvals))
+    return units * acc
 
 
 def _diagonal_unit_sum(m: int) -> float:
@@ -174,10 +182,13 @@ def _combine_rotation(l: int, k: int, kinv, values) -> complex:
 # -- the series in the convergent half-plane ------------------------------------
 
 def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesValue:
-    """Truncated coset sum of the series at g, Re(s) > 1 only; rows are cut
-    at |c|^2 + |d|^2 <= coset_norm_bound and the discarded remainder is
+    """Truncated coset sum of the series at g, Re(s) > 1 only: the row
+    vector of _row_sum_vector (identity coset included) with the weight
+    height^{1+s}, contracted with the rotation part of g. Rows are cut at
+    |c|^2 + |d|^2 <= coset_norm_bound and the discarded remainder is
     bounded by an integral comparison (rotation entries have modulus <= 1,
-    row heights are <= lam / (mu * rownorm))."""
+    row heights are <= lam / (mu * rownorm)). For odd m the unit classes
+    cancel and the value is exactly 0."""
     s = complex(params.s)
     if s.real <= 1.0:
         raise ValueError("coset-sum route requires Re(s) > 1")
@@ -187,7 +198,6 @@ def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesVal
     z, lam = co.z, co.height
     vec = _row_sum_vector(l, m, z, lam, bound,
                           lambda h: h ** (1.0 + s))
-    vec[m + l] += _diagonal_unit_sum(m) * lam ** (1.0 + s)
     value = _combine_rotation(l, k, co.k.inv(),
                               lambda rows: [vec[a + l] for a in rows])
     mu = _height_form_min(z, lam)
@@ -306,7 +316,7 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
         return lambda zs, lams: np.zeros(
             (len(rows),) + np.broadcast(zs, lams).shape, dtype=complex)
     trunc = params.truncation
-    x_cut = -log(trunc.bessel_tol) + 20.0
+    x_cut = -log(BESSEL_TOL) + 20.0
     norm_cut = min(trunc.lattice_norm_bound,
                    int((x_cut / (2.0 * pi * lam_min)) ** 2))
     terms = fourier_expansion_terms(
@@ -344,7 +354,7 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
                 if order not in kvals:
                     kvals[order] = bessel_k_complex_array(
                         order, bessel_arg.ravel(),
-                        trunc.bessel_tol).reshape(bessel_arg.shape)
+                        BESSEL_TOL).reshape(bessel_arg.shape)
                 rad += (xi * ig) * power_arg ** (1 + l - u) * kvals[order]
             const = sum(ct.coefficient * lam_u ** ct.exponent
                         for ct in consts)
@@ -500,13 +510,12 @@ def incomplete_series(index: SpectralIndex, psi: TestFunctionPsi,
         h_lo, _ = psi.support_interval(max(eps, 1e-20))
         mu = _height_form_min(z, lam)
         bound = int(lam / (h_lo * mu)) + 1
-        if bound > 20_000_000:
+        if bound > MAX_NORM_BOUND:
             raise ArithmeticError(
                 f"support floor {h_lo:.3e} needs {bound} rows; lower the "
                 "decay cutoff or move the test function up")
         vec = _row_sum_vector(l, b_idx, z, lam, bound,
                               lambda h: np.asarray(psi(h), dtype=complex))
-        vec[b_idx + l] += _diagonal_unit_sum(b_idx) * float(psi(lam))
         direct = _combine_rotation(l, a_idx, kinv,
                                    lambda rows: [vec[a + l] for a in rows])
         direct_tail = eps * pi ** 2 * float(bound) ** 2

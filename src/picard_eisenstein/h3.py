@@ -6,14 +6,13 @@ Gaussian modular group, and quadrature against dV = dx dy dlam / lam^3.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import acosh, exp, inf, log, sqrt
+from math import acosh, inf, log, sqrt
 
 import numpy as np
 
-from .su2 import SU2Element, SU2_IDENTITY
+from .su2 import SU2Element
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ full-lattice normalization, i.e. with 4 * l_function in each slot.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, log, pi
 
@@ -31,8 +31,8 @@ import numpy as np
 from scipy import special as sp
 
 from .gaussian import (
-    GaussInt, UNITS, canonical_associate, divisors, enumerate_shells,
-    factor_gauss, gaussian_primes, is_coprime, residues_mod, shell_key,
+    GaussInt, canonical_associate, divisors, enumerate_shells, factor_gauss,
+    gaussian_primes,
 )
 from .specfun import PoleError
 
@@ -84,10 +84,19 @@ def _chi_angle(n: int, re, im):
 
 # -- lattice enumeration helpers ------------------------------------------------
 
+#: largest accepted lattice norm bound: a bound N allocates two
+#: (2 sqrt(N) + 1)^2 int64 grids, 32 MB each at this value
+MAX_NORM_BOUND = 10 ** 6
+
+
 @lru_cache(maxsize=8)
 def _lattice_arrays(max_norm: int):
     """(re, im, norm) int64 arrays of all nonzero points with norm <= bound,
-    sorted by (norm, re, im)."""
+    sorted by (norm, re, im). Bounds above MAX_NORM_BOUND are refused
+    before anything is allocated."""
+    if max_norm > MAX_NORM_BOUND:
+        raise ValueError(f"lattice norm bound {max_norm} exceeds "
+                         f"{MAX_NORM_BOUND}")
     r = isqrt(max_norm)
     a = np.arange(-r, r + 1, dtype=np.int64)
     re, im = np.meshgrid(a, a, indexing="ij")
@@ -421,16 +430,13 @@ def _half_point(w) -> GaussInt:
     return two
 
 
-def d_sum_direct(k: int, w, s: complex, cbound: int,
-                 method: str = "moebius") -> complex:
+def d_sum_direct(k: int, w, s: complex, cbound: int) -> complex:
     """Truncation of the coset exponential sum: over all rows with lower-left
     entry c != 0 of norm <= cbound (all four associates) and coprime residues
     d mod c, of |c|^{-2-2s} (c/|c|)^{2k} e^{4 pi i Re(w d / c)}.
 
-    method="moebius" rearranges the inner coprime sum exactly (Moebius over
-    divisors of c, with the full residue sum collapsing to a divisibility
-    condition); method="bruteforce" enumerates residues literally and is
-    only meant for small bounds.
+    The inner coprime sum is rearranged exactly (Moebius over divisors of
+    c, with the full residue sum collapsing to a divisibility condition).
     """
     s = complex(s)
     if s.real <= 0:
@@ -438,10 +444,6 @@ def d_sum_direct(k: int, w, s: complex, cbound: int,
     if cbound < 1:
         raise ValueError("cbound must be >= 1")
     two_w = _half_point(w)
-    if method == "bruteforce":
-        return _d_sum_bruteforce(k, two_w, s, cbound)
-    if method != "moebius":
-        raise ValueError(f"unknown method {method!r}")
     if k % 2 != 0:
         # the four unit-associate rows of each c carry phases u^{2k} = +-1
         # in cancelling pairs, so the full truncated sum is exactly zero
@@ -474,21 +476,6 @@ def d_sum_direct(k: int, w, s: complex, cbound: int,
         chi_q = hecke_character(HeckeCharacter(2 * k), qc)
         total += chi_q * nq ** (-s) * partial(cbound // nq)
     return 4.0 * total
-
-
-def _d_sum_bruteforce(k: int, two_w: GaussInt, s: complex, cbound: int) -> complex:
-    total = 0.0 + 0.0j
-    wc = complex(two_w.re, two_w.im) / 2.0
-    for c in enumerate_shells(cbound):
-        cc = complex(c)
-        base = abs(cc) ** (-2.0 - 2.0 * s) * (cc / abs(cc)) ** (2 * k)
-        inner = 0.0 + 0.0j
-        for d in residues_mod(c):
-            if not is_coprime(c, d):
-                continue
-            inner += cmath.exp(4j * pi * (wc * complex(d) / cc).real)
-        total += base * inner
-    return total
 
 
 def d_sum_closed(k: int, w, s: complex) -> complex:

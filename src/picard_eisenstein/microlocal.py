@@ -50,6 +50,11 @@ ZETA_K_RESIDUE = pi / 4.0
 #: loses about 1e-15 to cancellation)
 ZETA_K_CONSTANT_TERM = 0.6462454398948133
 
+#: first trapezoid step of the pairing's line integral on Re s = 1, and the
+#: relative agreement of two successive halvings that ends it
+CONTOUR_STEP = 0.05
+CONTOUR_TOL = 1e-6
+
 
 # -- fiber modes ------------------------------------------------------------------
 
@@ -675,8 +680,6 @@ def _residue_terms(l: int, a: int, b: int, t: float,
 
 
 def incomplete_pairing(index: SpectralIndex, psi: TestFunctionPsi, t: float,
-                       contour_step: float = 0.05,
-                       contour_tol: float = 1e-6,
                        include_contour: bool = True) -> IncompletePairingResult:
     """Pairing of the smoothed series at the given index against the
     degenerate spectral measure at parameter t.
@@ -732,7 +735,7 @@ def incomplete_pairing(index: SpectralIndex, psi: TestFunctionPsi, t: float,
         residue = pref * complex(np.dot(xi, res_u)) / denom
         if include_contour:
             con_u = _contour_terms(l, a, b, float(t), psi, n_terms,
-                                   contour_step, contour_tol)
+                                   CONTOUR_STEP, CONTOUR_TOL)
             contour = pref * complex(np.dot(xi, con_u)) / denom
     f2 = contour + residue
     main = main_term_coefficient(index, psi) * log(float(t))

@@ -6,7 +6,7 @@ product of two K-Bessel factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cosh, exp, log, pi, sqrt
+from math import cosh, exp, pi, sqrt
 
 import mpmath
 import numpy as np

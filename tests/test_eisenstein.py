@@ -1,4 +1,5 @@
 import cmath
+import time
 from math import e, exp, factorial, log, pi, sqrt
 
 import mpmath
@@ -7,11 +8,13 @@ import pytest
 
 from picard_eisenstein.eisenstein import (
     GAMMA_GENERATORS, SeriesParams, SeriesValue, TestFunctionPsi,
-    TruncationConfig, eisenstein_coset_sum, eisenstein_fourier,
-    eisenstein_fourier_group, f_seed, fourier_expansion_terms,
-    incomplete_series,
+    TruncationConfig, _row_sum_vector, _squarefree_divisors,
+    eisenstein_coset_sum, eisenstein_fourier, eisenstein_fourier_group,
+    f_seed, fourier_expansion_terms, incomplete_series,
 )
+from picard_eisenstein.gaussian import GaussInt
 from picard_eisenstein.h3 import GroupElementSL2C, H3Point
+from picard_eisenstein.lseries import MAX_NORM_BOUND, _lattice_arrays
 from picard_eisenstein.su2 import (
     SpectralIndex, SU2Element, b_factor, random_su2, wigner_D_su2,
     wigner_monomial, xi_weight,
@@ -23,6 +26,36 @@ RNG = np.random.default_rng(571204)
 def point_group(p: H3Point) -> GroupElementSL2C:
     return (GroupElementSL2C.translation(p.z)
             * GroupElementSL2C.dilation(p.lam))
+
+
+def row_sum_four_units(l, m, z, lam, bound, hweight):
+    """Reference coset row vector: every c != 0 as (unit * c) for the four
+    units, then the four identity-class rows (0, u) added as one term."""
+    acc = np.zeros(2 * l + 1, dtype=complex)
+    re, im, norm = _lattice_arrays(bound)
+    canon = np.nonzero((re > 0) & (im >= 0))[0]
+    for idx in canon:
+        nc = int(norm[idx])
+        c0 = GaussInt(int(re[idx]), int(im[idx]))
+        for mu_g, gval, gn in _squarefree_divisors(c0):
+            count = int(np.searchsorted(norm, (bound - nc) // gn,
+                                        side="right"))
+            d_arr = np.empty(count + 1, dtype=complex)
+            d_arr[:count] = (re[:count] + 1j * im[:count]) * gval
+            d_arr[count] = 0.0
+            for unit in (1.0 + 0.0j, 1j, -1.0 + 0.0j, -1j):
+                cu = unit * complex(c0.re, c0.im)
+                t = cu * z + d_arr
+                v2 = np.abs(t) ** 2 + lam * lam * nc
+                alpha = t / np.sqrt(v2)
+                beta = (lam * cu.conjugate()) / np.sqrt(v2)
+                wvals = hweight(lam / v2)
+                for a in range(-l, l + 1):
+                    wig = wigner_monomial(2 * l, 2 * a, 2 * m, alpha, beta)
+                    acc[a + l] += mu_g * complex(
+                        np.sum(np.conjugate(wig) * wvals))
+    acc[m + l] += (4.0 if m % 2 == 0 else 0.0) * hweight(lam)
+    return acc
 
 
 class TestSeedFunction:
@@ -151,6 +184,28 @@ class TestCosetSum:
             res = eisenstein_coset_sum(
                 SeriesParams(SpectralIndex.make(l, k, m), 2.0, tr), g)
             assert abs(res.value) < 1e-10
+            assert res.value == 0.0
+
+
+class TestRowSum:
+    """One row per unit class, times the unit sum, against the sum over
+    all four units of every class."""
+    POWER_S = 1.8 + 7j
+    PSI = TestFunctionPsi(center=-0.5, width=1.0)
+
+    @pytest.mark.parametrize("l, m", [(0, 0), (1, 0), (2, 2), (3, -2)])
+    @pytest.mark.parametrize("weight", ["power", "log-gaussian"])
+    def test_matches_four_unit_sum(self, l, m, weight):
+        if weight == "power":
+            def hweight(h):
+                return h ** (1.0 + self.POWER_S)
+        else:
+            def hweight(h):
+                return np.asarray(self.PSI(h), dtype=complex)
+        z, lam = 0.31 + 0.17j, 0.8
+        got = _row_sum_vector(l, m, z, lam, 300, hweight)
+        want = row_sum_four_units(l, m, z, lam, 300, hweight)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTwoRouteAgreement:
@@ -353,6 +408,17 @@ class TestIncompleteSeries:
                                     routes="direct").direct_value
                 for r in range(-l, l + 1))
             assert abs(lhs - rhs) < 1e-10
+
+    def test_oversized_row_bound_refused_at_once(self):
+        # width 2.1 puts the support floor near 6.5e-7: about 1.5e6 rows
+        assert MAX_NORM_BOUND < 1.5e6
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="rows"):
+            incomplete_series(SpectralIndex.make(0, 0, 0),
+                              TestFunctionPsi(width=2.1),
+                              GroupElementSL2C.dilation(1.0),
+                              routes="direct")
+        assert time.perf_counter() - start < 1.0
 
     def test_contour_tail_failure_reported(self):
         # the bump transform only decays polynomially-ish along the line;
