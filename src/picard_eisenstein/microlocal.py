@@ -525,6 +525,11 @@ class IncompletePairingResult:
 
 def _mellin_log_derivative(psi: TestFunctionPsi, s: float = 2.0,
                            h: float = 1e-6) -> complex:
+    """H'(s)/H(s): -center + width^2 s / 2 in closed form for the
+    log-gaussian; a central difference of step h for the compact bump,
+    whose transform is numeric."""
+    if psi.kind == "log-gaussian":
+        return complex(-psi.center + psi.width ** 2 * s / 2.0)
     num = (psi.mellin(s + h) - psi.mellin(s - h)) / (2.0 * h)
     return complex(num) / complex(psi.mellin(s))
 

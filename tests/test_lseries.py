@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from picard_eisenstein import lseries
 from picard_eisenstein.eisenstein import INDEX_GAMMA_INF
 from picard_eisenstein.gaussian import (
     GaussInt, ONE, UNITS, divisors, enumerate_shells, gauss_gcd, is_coprime,
@@ -18,7 +19,10 @@ from picard_eisenstein.lseries import (
     moebius_gauss, ramanujan_identity_check, sigma_twisted, zeta_K,
     zeta_K_continued, zeta_K_log_derivative,
 )
+from picard_eisenstein.microlocal import (CuspFormSpec, mock_l_provider,
+                                          scan_t)
 from picard_eisenstein.specfun import PoleError
+from picard_eisenstein.su2 import SpectralIndex
 
 RNG = np.random.default_rng(771230)
 
@@ -176,6 +180,142 @@ class TestZetaEngine:
                 want = complex(mpmath.diff(f, x) / f(x))
             got = zeta_K_log_derivative(s)
             assert abs(got - want) <= 1e-10 * abs(want)
+
+
+def l_function_mpmath(s: complex, n: int) -> complex:
+    """Oracle: L(s, chi_n) by the theta integral split at 1 in mpmath, at
+    30 + 0.69 |Im(s + n/2)| digits (which absorb the cancellation of the
+    unrotated split), one point per call."""
+    if n % 4 != 0:
+        raise ValueError("character exponent must be divisible by 4")
+    if n == 0:
+        return complex(zeta_K_mpmath(s))
+    if n < 0:
+        return complex(l_function_mpmath(complex(s).conjugate(), -n)).conjugate()
+    s = complex(s)
+    v = s + n / 2.0
+    if abs(v.imag) < 1e-12 and v.real <= 0.5 and abs(v.real - round(v.real)) < 1e-12:
+        raise PoleError(f"gamma-factor pole at s + n/2 = {v}")
+    digits = int(30 + 0.69 * abs(v.imag))
+    with mpmath.workdps(digits):
+        vm = mpmath.mpc(v)
+        nmax = int((digits * 2.302585 + 8.0) / pi) + 2
+        total = mpmath.mpc(0)
+        for w in enumerate_shells(nmax):
+            if not (w.re > 0 and w.im >= 0):
+                continue
+            nw = w.norm()
+            a = mpmath.pi * nw
+            wn = mpmath.mpc(w.re, w.im) ** n
+            total += wn * (a ** (-vm) * mpmath.gammainc(vm, a)
+                           + a ** (vm - n - 1) * mpmath.gammainc(n + 1 - vm, a))
+        lam = 4 * total  # the four associates share w^n when n = 0 mod 4
+        value = lam * mpmath.pi ** vm / mpmath.gamma(vm) / 4
+        return complex(value)
+
+
+HECKE_NS = (4, -4, 8, -8, 16, -16)
+HECKE_SIGMAS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.5)
+
+
+def hecke_grid():
+    """(s, n) pairs: each Re s with four of the six n, |Im s| drawn up to
+    150, and four points above 150 of the kinds the pairings ask for: the
+    cusp pairing's 1 - ir - it (r = 1.3), the line integral's s/2 + it, and
+    the residue's 1 - it."""
+    rng = np.random.default_rng(20261019)
+    pts = [(complex(sigma, rng.uniform(-150.0, 150.0)), HECKE_NS[(k + j) % 6])
+           for k, sigma in enumerate(HECKE_SIGMAS) for j in range(4)]
+    return pts + [(1.0 - 201.3j, -8), (0.5 + 207.35j, 8), (1.0 - 170.0j, -4),
+                  (3.5 + 155.5j, 16)]
+
+
+class TestHeckeEngine:
+    def test_matches_mpmath_oracle_on_grid(self):
+        for s, n in hecke_grid():
+            want = l_function_mpmath(s, n)
+            for got in (l_function_values([s], n)[0],
+                        l_function_continued(s, n)):
+                assert abs(got - want) <= 1e-10 * abs(want), (s, n)
+
+    def test_integer_points_near_incomplete_gamma_poles(self):
+        # s = 3 and 4 with n = 4 put Gamma(n + 1 - v, .) at z = 0 and -1
+        for s in (1.0, 2.0, 3.0, 4.0, 6.5):
+            want = l_function_mpmath(s, 4)
+            assert abs(l_function_continued(s, 4) - want) <= 1e-12 * abs(want)
+
+    def test_rotation_does_not_change_the_value(self, monkeypatch):
+        rng = np.random.default_rng(4401)
+        s = np.array([complex(rng.choice(HECKE_SIGMAS), rng.uniform(-400, 400))
+                      for _ in range(24)] + [0.0 + 400.0j, 1.5 - 400.0j])
+        for n in (4, -8, 16):
+            ref = l_function_values(s, n)
+            for c in (10.0, 12.0):
+                monkeypatch.setattr(lseries, "HECKE_ROTATION", c)
+                got = l_function_values(s, n)
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-11
+            monkeypatch.undo()
+
+    def test_batch_equals_pointwise(self):
+        s = np.array([s for s, n in hecke_grid()[:12]] + [2.0, 1.0 - 201.3j])
+        for n in (4, -8):
+            batch = l_function_values(s, n)
+            for i, v in enumerate(s):
+                assert batch[i] == l_function_continued(complex(v), n)
+
+    def test_gamma_pole_and_lattice_reach(self):
+        with pytest.raises(PoleError):
+            l_function_continued(-2.0 + 0.0j, 4)
+        with pytest.raises(PoleError):
+            l_function_values([2.0, -5.0], -8)
+        with pytest.raises(ArithmeticError):
+            l_function_values([0.5 + 600.0j], 4)
+        with pytest.raises(ValueError):
+            l_function_values([2.0], 6)
+
+    @pytest.mark.parametrize("z", [2.5 + 0.0j, 0.0j, -1.0 + 0.0j, 3.0 - 40.0j,
+                                   -2.5 + 150.0j, 10.5 + 300.0j])
+    def test_upper_gamma_parts(self, z):
+        # both sides of the series / continued-fraction split, on rays
+        # turned towards the sign of Im z as the rotated split turns them
+        mods = np.abs(z) * np.array([0.3, 0.9, 1.0, 1.0]) \
+            + np.array([3.0, 9.9, 10.1, 40.0])
+        for phase in (0.0, 0.7, 1.4):
+            w = mods * np.exp(1j * phase * np.sign(z.imag or 1.0))
+            series, h = lseries._upper_gamma_parts(np.full(w.shape, z), w)
+            with mpmath.workdps(40):
+                for k in range(w.size):
+                    zm, wm = mpmath.mpc(z), mpmath.mpc(w[k])
+                    want = mpmath.gammainc(zm, wm)
+                    whole = mpmath.gamma(zm) if series[k] else 0
+                    got = wm ** zm * mpmath.exp(-wm) * mpmath.mpc(h[k]) + whole
+                    # on the series side Gamma(z) - gamma(z, w) may cancel;
+                    # the L-value sum sees the error on the scale of Gamma(z)
+                    scale = max(abs(want), abs(whole))
+                    assert abs(got - want) <= 1e-12 * scale, (z, w[k])
+
+    def test_no_mpmath_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath called")
+        for name in ("mpc", "mpf", "workdps", "gammainc", "gamma", "zeta"):
+            monkeypatch.setattr(mpmath, name, refuse)
+        assert not hasattr(lseries, "mpmath")
+        l_function_continued.cache_clear()
+        vals = l_function_values([0.5 + 20.0j, 1.0 - 201.3j, 2.0], -8)
+        assert np.all(np.isfinite(vals))
+        rows = scan_t("cusp", [20.0, 199.0],
+                      {"spec": CuspFormSpec(SpectralIndex.make(2, 2, 2),
+                                            r=1.3),
+                       "provider": mock_l_provider})
+        assert len(rows) == 2 and all(np.isfinite(r.value) for r in rows)
+
+
+class TestTracerHooks:
+    def test_lvalue_functions_keep_their_cache(self):
+        # perfbench/tracer.py reads cache_info() from both to report the
+        # lru hit ratio of every traced run
+        for name in ("l_function_continued", "zeta_K_continued"):
+            assert hasattr(getattr(lseries, name), "cache_info")
 
 
 class TestMoebius:

@@ -18,7 +18,9 @@ from picard_eisenstein.microlocal import (
     verify_suma_es0,
 )
 from picard_eisenstein.lseries import l_function_continued
-from picard_eisenstein.microlocal import _line_integrand, _reduce_arrays
+from picard_eisenstein.microlocal import (_line_integrand,
+                                          _mellin_log_derivative,
+                                          _reduce_arrays)
 from picard_eisenstein.specfun import PoleError, log_gamma
 from picard_eisenstein.su2 import (
     SpectralIndex, haar_grid, random_su2, xi_weight,
@@ -242,6 +244,17 @@ class TestCuspPairing:
         with pytest.raises(ValueError, match="L-values unavailable"):
             cusp_pairing_formula(self.SPEC, 30.0)
 
+    @pytest.mark.parametrize("t, want", [
+        (20.0, -0.006880867927100706 + 0.000340095713190193j),
+        (77.0, 0.010971272213369656 - 0.006643084057433996j),
+        (131.0, 0.007438573784034334 - 0.0027390104492661005j),
+        (199.0, -5.2068341520753575e-05 + 0.00023199310019379467j)])
+    def test_nonzero_character_matches_mpmath_era_values(self, t, want):
+        # the mpmath theta split's values (perfbench/reference/cusp_scan.json)
+        spec = CuspFormSpec(SpectralIndex.make(2, 2, 2), r=1.3)
+        got = cusp_pairing_formula(spec, t, mock_l_provider)
+        assert got == pytest.approx(want, rel=1e-9)
+
 
 class TestIncompletePairing:
     PSI = TestFunctionPsi()
@@ -256,6 +269,22 @@ class TestIncompletePairing:
                                    self.PSI, 12.0, include_contour=False)
             assert r.residue_part == 0.0
             assert r.main_term == 0.0
+
+    @pytest.mark.parametrize("psi", [
+        TestFunctionPsi(), TestFunctionPsi(width=3.0),
+        TestFunctionPsi(center=1.2, width=0.6)])
+    def test_mellin_log_derivative_closed_form(self, psi):
+        # H'/H at 2 from the defining integral of H in mpmath
+        c, w = psi.center, psi.width
+        with mpmath.workdps(30):
+            def log_h(s):
+                return mpmath.log(mpmath.quad(
+                    lambda u: mpmath.exp(-((u - c) / w) ** 2 - s * u),
+                    [-mpmath.inf, c, mpmath.inf]))
+            want = float(mpmath.diff(log_h, 2))
+        got = _mellin_log_derivative(psi)
+        assert got == -c + w ** 2
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_main_term_coefficient_trivial_index(self):
         # H(2)/(4 zeta_K(2)) with H(2) = sqrt(pi) * e for the default weight
@@ -365,6 +394,15 @@ class TestLineIntegral:
     def test_pairing_matches_mpmath_era_values(self, t, want):
         # values of the per-node mpmath line integral at the same settings
         r = incomplete_pairing(SpectralIndex.make(0, 0, 0),
+                               TestFunctionPsi(width=3.0), t)
+        assert r.value == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("t, want", [
+        (20.0, -3170.005514633811 + 1785.7342421038438j),
+        (40.0, -3212.9025655925293 + 1707.2660005740245j)])
+    def test_nonzero_index_pairing_matches_mpmath_era_values(self, t, want):
+        # values with every Hecke L-value from the mpmath theta split
+        r = incomplete_pairing(SpectralIndex.make(2, 2, 2),
                                TestFunctionPsi(width=3.0), t)
         assert r.value == pytest.approx(want, rel=1e-8)
 
