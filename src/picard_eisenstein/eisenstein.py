@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import chain
 from math import exp, log, pi, sqrt
 
 import numpy as np
@@ -27,7 +28,7 @@ from .h3 import GroupElementSL2C, H3Point, iwasawa_decompose
 from .lseries import (MAX_NORM_BOUND, _lattice_arrays, l_function_continued,
                       sigma_twisted)
 from .specfun import bessel_k_complex_array, gamma_complex
-from .su2 import (SpectralIndex, b_factor, wigner_D_su2, wigner_monomial,
+from .su2 import (SpectralIndex, b_factor, wigner_column, wigner_D_su2,
                   xi_weight)
 
 #: unit-class multiplicity: each of the four diagonal-unit rows (0, u) gives
@@ -38,6 +39,11 @@ INDEX_GAMMA_INF = 4
 #: target accuracy of the Bessel factors of the expansion; frequencies are
 #: cut where the argument passes -ln(BESSEL_TOL) + 20
 BESSEL_TOL = 1e-12
+
+#: rows per numpy pass of the coset row sum: a chunk's arrays stay a few
+#: hundred kB, and larger chunks save little Python overhead while peak
+#: memory grows with them
+ROW_CHUNK = 4096
 
 # five generators of the Gaussian modular group (as SL(2)-matrices):
 # both unit translations, the inversion, the diagonal unit, and the
@@ -126,9 +132,17 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
     runs over one row per class, c in the first quadrant (re > 0, im >= 0)
     or the identity coset (0, 1) of rotation 1 and height lam, and is then
     multiplied by that unit sum. The coprimality condition is opened up by
-    Moebius inversion over the squarefree divisors of c (an exact
-    rearrangement of the finite sum); within each block the rows are
-    processed as numpy arrays.
+    Moebius inversion over the squarefree divisors g of c (an exact
+    rearrangement of the finite sum): the block of (c, g) holds the rows
+    (c, g d) over the lattice points d with |g d|^2 <= bound - |c|^2, plus
+    the row d = 0, which cancels over the divisors unless c is a unit.
+
+    The table of blocks is built first; its rows are then walked in chunks
+    of ROW_CHUNK rows, blocks straddling chunk ends, and each chunk gets
+    one numpy pass: row heights, rotations, the weights (Moebius sign
+    folded in) and all 2l+1 Wigner entries at once (su2.wigner_column).
+    The rows are never all held at once: their memory is a few chunk-sized
+    arrays at any bound (the block table still grows with the bound).
     """
     acc = np.zeros(2 * l + 1, dtype=complex)
     units = _diagonal_unit_sum(m)
@@ -136,28 +150,36 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
         return acc
     acc[m + l] = hweight(lam)
     re, im, norm = _lattice_arrays(bound)
+    d_lattice = np.append(re + 1j * im, 0.0)  # trailing entry: the d = 0 row
     canon = np.nonzero((re > 0) & (im >= 0))[0]
-    lam2 = lam * lam
-    for idx in canon:
-        nc = int(norm[idx])
-        c0 = GaussInt(int(re[idx]), int(im[idx]))
-        c = complex(c0.re, c0.im)
-        rem = bound - nc
-        for mu_g, gval, gn in _squarefree_divisors(c0):
-            count = int(np.searchsorted(norm, rem // gn, side="right"))
-            d_arr = np.empty(count + 1, dtype=complex)
-            d_arr[:count] = (re[:count] + 1j * im[:count]) * gval
-            d_arr[count] = 0.0  # the d = 0 row; cancels unless c is a unit
-            t = c * z + d_arr
-            v2 = np.abs(t) ** 2 + lam2 * nc
-            vroot = np.sqrt(v2)
-            alpha = t / vroot
-            beta = (lam * c.conjugate()) / vroot
-            wvals = hweight(lam / v2)
-            for a in range(-l, l + 1):
-                wig = wigner_monomial(2 * l, 2 * a, 2 * m, alpha, beta)
-                acc[a + l] += mu_g * complex(
-                    np.sum(np.conjugate(wig) * wvals))
+    divisors = [_squarefree_divisors(GaussInt(int(re[i]), int(im[i])))
+                for i in canon]
+    c_idx = np.repeat(canon, [len(d) for d in divisors])  # c of each block
+    mu_tab, g_tab, g_norm = map(np.array, zip(*chain.from_iterable(divisors)))
+    count = np.searchsorted(norm, (bound - norm[c_idx]) // g_norm,
+                            side="right")
+    ends = np.cumsum(count + 1)
+    starts = ends - (count + 1)
+    c_tab = re[c_idx] + 1j * im[c_idx]
+    cz_tab = c_tab * z                    # per block: c z,
+    beta_tab = lam * c_tab.conjugate()    # lam conj(c),
+    shift_tab = lam * lam * norm[c_idx]   # and lam^2 |c|^2
+    n_rows = int(ends[-1])
+    for r0 in range(0, n_rows, ROW_CHUNK):
+        r1 = min(r0 + ROW_CHUNK, n_rows)
+        b0, b1 = np.searchsorted(ends, [r0, r1 - 1], side="right")
+        first_row = np.maximum(starts[b0:b1 + 1], r0)
+        blk = np.repeat(np.arange(b0, b1 + 1),
+                        np.minimum(ends[b0:b1 + 1], r1) - first_row)
+        offset = np.arange(r0, r1) - starts[blk]
+        offset[offset == count[blk]] = len(d_lattice) - 1
+        t = cz_tab[blk] + d_lattice[offset] * g_tab[blk]
+        v2 = t.real ** 2 + t.imag ** 2 + shift_tab[blk]
+        vroot = np.sqrt(v2)
+        wig = wigner_column(2 * l, 2 * m, t / vroot, beta_tab[blk] / vroot)
+        wvals = mu_tab[blk] * hweight(lam / v2)
+        # sum_n conj(D_an) w_n, formed as the conjugate of sum_n D_an conj(w_n)
+        acc += np.einsum("an,n->a", wig, wvals.conjugate()).conjugate()
     return units * acc
 
 
@@ -183,7 +205,8 @@ def _combine_rotation(l: int, k: int, kinv, values) -> complex:
 
 def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesValue:
     """Truncated coset sum of the series at g, Re(s) > 1 only: the row
-    vector of _row_sum_vector (identity coset included) with the weight
+    vector of _row_sum_vector (identity coset included, every entry
+    a = -l..l from the same chunked pass over the rows) with the weight
     height^{1+s}, contracted with the rotation part of g. Rows are cut at
     |c|^2 + |d|^2 <= coset_norm_bound and the discarded remainder is
     bounded by an integral comparison (rotation entries have modulus <= 1,

@@ -1,7 +1,8 @@
 """SU(2)/SO(3) group elements, the spin covering map, Euler angles, Wigner
 matrix coefficients (integer and half-integer order; one monomial
-evaluation serving both single elements and numpy arrays of them), and the
-index weights B and xi that the series expansion and the pairings use.
+evaluation serving both single elements and numpy arrays of them, and one
+that gives a whole column D^j_{am}, a = -j..j, at once), and the index
+weights B and xi that the series expansion and the pairings use.
 
 Index arguments (j, k, m) are half-integers passed as ints, floats or
 Fractions with 2j integral; they are converted to doubled integers
@@ -219,6 +220,47 @@ def wigner_monomial(tj: int, tk: int, tm: int, alpha, beta):
     norm = sqrt(factorial(jk) * factorial(jkm)
                 / (factorial(jm) * factorial(jmm)))
     return acc * norm
+
+
+def wigner_column(tj: int, tm: int, alpha, beta) -> np.ndarray:
+    """Every D^j_{am}, a = -j..j, on K[alpha, beta] from the doubled
+    indices (2j, 2m), without index validation: an array of shape
+    (2j+1,) + shape(alpha) whose row a + j is what wigner_monomial gives
+    for (2j, 2a, 2m). Row a is the coefficient of x^{j+a} y^{j-a} in
+    (p x + q y)^{j+m} (u x + v y)^{j-m} (p, q, u, v as in
+    wigner_monomial), so the powers are formed once and the two binomial
+    expansions convolved."""
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    jm, jmm = (tj + tm) // 2, (tj - tm) // 2
+    first = _binomial_terms(alpha.conjugate(), -beta, jm)
+    second = _binomial_terms(beta.conjugate(), alpha, jmm)
+    if jm < jmm:  # loop over the shorter expansion
+        first, second = second, first
+    out = np.zeros((tj + 1,) + alpha.shape, dtype=complex)
+    for t in range(len(second)):
+        out[t:t + len(first)] += second[t] * first
+    norm = [sqrt(factorial(jk) * factorial(tj - jk)
+                 / (factorial(jm) * factorial(jmm))) for jk in range(tj + 1)]
+    out *= np.reshape(norm, (tj + 1,) + (1,) * alpha.ndim)
+    return out
+
+
+def _binomial_terms(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """C(n, t) x^t y^{n-t} for t = 0..n, stacked along a new first axis."""
+    out = np.empty((n + 1,) + x.shape, dtype=complex)
+    out[n] = 1.0
+    for t in range(n - 1, -1, -1):
+        out[t] = out[t + 1] * y
+    xt = x
+    for t in range(1, n + 1):
+        out[t] *= xt
+        if t < n:
+            xt = xt * x
+    if n > 1:  # the binomials of n <= 1 are all 1
+        out *= np.reshape([float(comb(n, t)) for t in range(n + 1)],
+                          (n + 1,) + (1,) * x.ndim)
+    return out
 
 
 def _cpow(z: complex, n: int) -> complex:

@@ -1,11 +1,14 @@
 import cmath
 import time
+import tracemalloc
 from math import e, exp, factorial, log, pi, sqrt
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from picard_eisenstein import eisenstein
 from picard_eisenstein.eisenstein import (
     GAMMA_GENERATORS, SeriesParams, SeriesValue, TestFunctionPsi,
     TruncationConfig, _row_sum_vector, _squarefree_divisors,
@@ -192,20 +195,67 @@ class TestRowSum:
     all four units of every class."""
     POWER_S = 1.8 + 7j
     PSI = TestFunctionPsi(center=-0.5, width=1.0)
+    Z, LAM = 0.31 + 0.17j, 0.8
 
-    @pytest.mark.parametrize("l, m", [(0, 0), (1, 0), (2, 2), (3, -2)])
-    @pytest.mark.parametrize("weight", ["power", "log-gaussian"])
-    def test_matches_four_unit_sum(self, l, m, weight):
+    def hweight(self, weight, s=POWER_S):
         if weight == "power":
-            def hweight(h):
-                return h ** (1.0 + self.POWER_S)
+            return lambda h: h ** (1.0 + s)
+        return lambda h: np.asarray(self.PSI(h), dtype=complex)
+
+    @pytest.mark.parametrize(
+        "weight, l, m, bound",
+        [pytest.param(weight, l, m, 300, id=f"{weight}-{l}-{m}")
+         for weight in ("log-gaussian", "power")
+         for l in range(4) for m in range(-l, l + 1)]
+        + [pytest.param("power", 3, 2, 1000, id="power-3-2-bound1000")])
+    def test_matches_four_unit_sum(self, weight, l, m, bound):
+        hweight = self.hweight(weight)
+        got = _row_sum_vector(l, m, self.Z, self.LAM, bound, hweight)
+        want = row_sum_four_units(l, m, self.Z, self.LAM, bound, hweight)
+        if m % 2:
+            # the four unit rows of a class cancel: exactly in the engine,
+            # to rounding in the reference
+            assert np.all(got == 0.0)
+            assert np.max(np.abs(want)) <= 1e-12 * abs(hweight(self.LAM))
         else:
-            def hweight(h):
-                return np.asarray(self.PSI(h), dtype=complex)
-        z, lam = 0.31 + 0.17j, 0.8
-        got = _row_sum_vector(l, m, z, lam, 300, hweight)
-        want = row_sum_four_units(l, m, z, lam, 300, hweight)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("chunk", [1, 97, 10 ** 7])
+    def test_chunk_boundaries(self, chunk, monkeypatch):
+        # one row per chunk, blocks cut at odd places, one chunk for all
+        hweight = self.hweight("power")
+        want = _row_sum_vector(2, 0, self.Z, self.LAM, 300, hweight)
+        monkeypatch.setattr(eisenstein, "ROW_CHUNK", chunk)
+        got = _row_sum_vector(2, 0, self.Z, self.LAM, 300, hweight)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0),
+           lam=st.floats(0.3, 3.0),
+           lm=st.sampled_from([(l, m) for l in range(4)
+                               for m in range(-l, l + 1) if m % 2 == 0]),
+           s_re=st.floats(1.2, 3.0), s_im=st.floats(-20.0, 20.0))
+    def test_matches_four_unit_sum_at_random_points(self, x, y, lam, lm,
+                                                    s_re, s_im):
+        l, m = lm
+        hweight = self.hweight("power", complex(s_re, s_im))
+        got = _row_sum_vector(l, m, complex(x, y), lam, 120, hweight)
+        want = row_sum_four_units(l, m, complex(x, y), lam, 120, hweight)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_peak_memory_of_one_call(self):
+        # the rows are walked in chunks, never held all at once; a larger
+        # chunk would show up in the benchmark's peak RSS
+        hweight = self.hweight("power")
+        args = (3, 2, self.Z, self.LAM, 1000, hweight)
+        _row_sum_vector(*args)  # fills the lattice and divisor caches
+        tracemalloc.start()
+        try:
+            _row_sum_vector(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class TestTwoRouteAgreement:

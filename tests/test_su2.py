@@ -8,7 +8,8 @@ from picard_eisenstein.su2 import (
     SO3Matrix, SU2Element, SU2_IDENTITY, SpectralIndex, b_factor,
     euler_decompose, haar_grid, haar_integrate, phi_coeff, random_su2,
     rot_matrix, spin_cover, su2_from_euler, t_basis, t_modes,
-    wigner_D_euler, wigner_D_su2, wigner_small_d, wigner_symmetries_check,
+    wigner_column, wigner_D_euler, wigner_D_su2, wigner_monomial,
+    wigner_small_d, wigner_symmetries_check,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -128,6 +129,21 @@ class TestWignerD:
                                for tm in range(-tj, tj + 1, 2)]
                               for tk in range(-tj, tj + 1, 2)])
                 assert np.max(np.abs(d @ d.conj().T - np.eye(tj + 1))) < 1e-12
+
+
+class TestWignerColumn:
+    def test_matches_monomial_entries(self):
+        # 50 seeded unit pairs, each entry against the one-entry evaluation
+        rng = np.random.default_rng(880131)
+        for _ in range(50):
+            a = random_su2(rng)
+            for tj in range(0, 8):
+                for tm in range(-tj, tj + 1, 2):
+                    col = wigner_column(tj, tm, a.alpha, a.beta)
+                    assert col.shape == (tj + 1,)
+                    for i, ta in enumerate(range(-tj, tj + 1, 2)):
+                        want = wigner_monomial(tj, ta, tm, a.alpha, a.beta)
+                        assert abs(col[i] - want) < 1e-13
 
 
 class TestPhiCoeff:
