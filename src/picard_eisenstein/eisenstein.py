@@ -37,7 +37,7 @@ from .su2 import (SpectralIndex, b_factor, wigner_column, wigner_D_su2,
 INDEX_GAMMA_INF = 4
 
 #: target accuracy of the Bessel factors of the expansion; frequencies are
-#: cut where the argument passes -ln(BESSEL_TOL) + 20
+#: cut where the argument passes _frequency_cut(s)
 BESSEL_TOL = 1e-12
 
 #: rows per numpy pass of the coset row sum: a chunk's arrays stay a few
@@ -100,7 +100,6 @@ def f_seed(index: SpectralIndex, g: GroupElementSL2C, s: complex) -> complex:
 
 # -- row enumeration ------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
 def _squarefree_divisors(c: GaussInt) -> tuple[tuple[int, complex, int], ...]:
     """(moebius sign, complex value, norm) over the squarefree divisors of c
     (one associate each)."""
@@ -110,6 +109,21 @@ def _squarefree_divisors(c: GaussInt) -> tuple[tuple[int, complex, int], ...]:
         qc, qn = complex(q.re, q.im), q.norm()
         out += [(-mu, val * qc, n * qn) for (mu, val, n) in out]
     return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _block_table(bound: int):
+    """(c index, Moebius sign, g, |g|^2) arrays over the Moebius blocks of
+    the coset row sum: the squarefree divisors g of every canonical c
+    (re > 0, im >= 0) with |c|^2 <= bound, c indexing _lattice_arrays(bound).
+    Cached per bound, so repeated row sums at one bound factor nothing."""
+    re, im, _ = _lattice_arrays(bound)
+    canon = np.nonzero((re > 0) & (im >= 0))[0]
+    divisors = [_squarefree_divisors(GaussInt(int(re[i]), int(im[i])))
+                for i in canon]
+    c_idx = np.repeat(canon, [len(d) for d in divisors])
+    mu, g, g_norm = map(np.array, zip(*chain.from_iterable(divisors)))
+    return c_idx, mu, g, g_norm
 
 
 def _height_form_min(z: complex, lam: float) -> float:
@@ -137,7 +151,7 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
     (c, g d) over the lattice points d with |g d|^2 <= bound - |c|^2, plus
     the row d = 0, which cancels over the divisors unless c is a unit.
 
-    The table of blocks is built first; its rows are then walked in chunks
+    The blocks come from _block_table; their rows are walked in chunks
     of ROW_CHUNK rows, blocks straddling chunk ends, and each chunk gets
     one numpy pass: row heights, rotations, the weights (Moebius sign
     folded in) and all 2l+1 Wigner entries at once (su2.wigner_column).
@@ -151,11 +165,7 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
     acc[m + l] = hweight(lam)
     re, im, norm = _lattice_arrays(bound)
     d_lattice = np.append(re + 1j * im, 0.0)  # trailing entry: the d = 0 row
-    canon = np.nonzero((re > 0) & (im >= 0))[0]
-    divisors = [_squarefree_divisors(GaussInt(int(re[i]), int(im[i])))
-                for i in canon]
-    c_idx = np.repeat(canon, [len(d) for d in divisors])  # c of each block
-    mu_tab, g_tab, g_norm = map(np.array, zip(*chain.from_iterable(divisors)))
+    c_idx, mu_tab, g_tab, g_norm = _block_table(bound)
     count = np.searchsorted(norm, (bound - norm[c_idx]) // g_norm,
                             side="right")
     ends = np.cumsum(count + 1)
@@ -220,7 +230,7 @@ def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesVal
     co = iwasawa_decompose(g)
     z, lam = co.z, co.height
     vec = _row_sum_vector(l, m, z, lam, bound,
-                          lambda h: h ** (1.0 + s))
+                          lambda h: np.exp((1.0 + s) * np.log(h)))
     value = _combine_rotation(l, k, co.k.inv(),
                               lambda rows: [vec[a + l] for a in rows])
     mu = _height_form_min(z, lam)
@@ -319,6 +329,14 @@ def fourier_expansion_terms(params: SeriesParams) -> FourierExpansionTerms:
     return FourierExpansionTerms(_prefactor(l, k, m, s), consts, waves)
 
 
+def _frequency_cut(s: complex) -> float:
+    """Bessel argument past which the expansion drops a frequency. The
+    leading terms carry K_nu with |Im nu| = |Im s|, of size
+    exp(-pi |Im s| / 2), while a term at argument x is of size exp(-x): the
+    cut sits pi |Im s| / 2 beyond -ln(BESSEL_TOL) + 20."""
+    return -log(BESSEL_TOL) + 20.0 + pi * abs(s.imag) / 2.0
+
+
 def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
     """Vectorized evaluator of the Fourier-Bessel expansion of the series at
     the indices (l, a, m), a in rows, at heights lam >= lam_min.
@@ -339,7 +357,7 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
         return lambda zs, lams: np.zeros(
             (len(rows),) + np.broadcast(zs, lams).shape, dtype=complex)
     trunc = params.truncation
-    x_cut = -log(BESSEL_TOL) + 20.0
+    x_cut = _frequency_cut(s)
     norm_cut = min(trunc.lattice_norm_bound,
                    int((x_cut / (2.0 * pi * lam_min)) ** 2))
     terms = fourier_expansion_terms(

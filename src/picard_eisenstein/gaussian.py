@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
-
-from sympy import factorint, primerange, sqrt_mod
 
 
 @dataclass(frozen=True, order=True)
@@ -148,6 +147,41 @@ def enumerate_shells(max_norm: int) -> list[GaussInt]:
 
 # -- factorization and divisors ---------------------------------------------
 
+def _rational_primes(n: int) -> list[int]:
+    """The rational primes <= n (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = bytes(min(2, n + 1))
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _factor_int(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of a positive int by trial division, in
+    increasing p (the norms factored here stay far below 10^12)."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """The square root of -1 mod a prime p = 1 mod 4 in [1, p/2]: the
+    quarter power of the least quadratic non-residue."""
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    r = pow(z, (p - 1) // 4, p)
+    return min(r, p - r)
+
+
 @lru_cache(maxsize=None)
 def gaussian_primes(max_norm: int) -> tuple[GaussInt, ...]:
     """Canonical Gaussian primes with norm <= max_norm, shell-ordered.
@@ -156,7 +190,7 @@ def gaussian_primes(max_norm: int) -> tuple[GaussInt, ...]:
     primes contribute the two non-associate conjugate factors.
     """
     out: list[GaussInt] = []
-    for p in primerange(2, max_norm + 1):
+    for p in _rational_primes(max_norm):
         if p == 2:
             out.append(GaussInt(1, 1))
         elif p % 4 == 1:
@@ -172,8 +206,7 @@ def gaussian_primes(max_norm: int) -> tuple[GaussInt, ...]:
 
 def _split_prime(p: int) -> tuple[int, int]:
     """Write a rational prime p = 1 mod 4 as a^2 + b^2 via gcd(p, x + i)."""
-    x = sqrt_mod(-1, p)
-    g = gauss_gcd(GaussInt(p, 0), GaussInt(int(x), 1))
+    g = gauss_gcd(GaussInt(p, 0), GaussInt(_sqrt_minus_one(p), 1))
     return abs(g.re), abs(g.im)
 
 
@@ -183,7 +216,7 @@ def factor_gauss(w: GaussInt) -> tuple[GaussInt, dict[GaussInt, int]]:
         raise ValueError("cannot factor zero")
     factors: dict[GaussInt, int] = {}
     rest = w
-    for p, e in factorint(w.norm()).items():
+    for p, e in _factor_int(w.norm()).items():
         if p == 2:
             pi = GaussInt(1, 1)
             for _ in range(e):

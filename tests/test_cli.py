@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import picard_eisenstein
 from picard_eisenstein.cli import RunConfig, main
+
+SRC_DIR = str(Path(picard_eisenstein.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -215,3 +222,31 @@ class TestOversizedTruncation:
     def test_largest_bound_accepted(self):
         cfg = RunConfig(coset_norm_bound=10 ** 6, lattice_norm_bound=10 ** 6)
         assert cfg.coset_norm_bound == 10 ** 6
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports the package from src."""
+    path = os.pathsep.join(
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=600)
+
+
+class TestWithoutMpmath:
+    """mpmath is a test-only dependency: the package runs with it blocked."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--route", "both", "--s-im", "15", "--l", "1"],
+        ["scan", "--task", "incomplete", "--steps", "2"],
+    ])
+    def test_commands_exit_zero(self, argv):
+        res = run_python('import sys\nsys.modules["mpmath"] = None\n'
+                         "from picard_eisenstein.cli import main\n"
+                         f"sys.exit(main({argv!r}))\n")
+        assert res.returncode == 0, res.stderr
+
+    def test_import_does_not_load_mpmath(self):
+        res = run_python("import sys, picard_eisenstein.cli\n"
+                         "print('mpmath' in sys.modules)")
+        assert res.stdout.strip() == "False", res.stderr

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from picard_eisenstein import eisenstein
 from picard_eisenstein.eisenstein import (
     GAMMA_GENERATORS, SeriesParams, SeriesValue, TestFunctionPsi,
-    TruncationConfig, _row_sum_vector, _squarefree_divisors,
+    TruncationConfig, _block_table, _row_sum_vector, _squarefree_divisors,
     eisenstein_coset_sum, eisenstein_fourier, eisenstein_fourier_group,
     f_seed, fourier_expansion_terms, incomplete_series,
 )
@@ -257,6 +257,25 @@ class TestRowSum:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
 
+    def test_block_table_factors_each_c_once(self, monkeypatch):
+        # more canonical c than the 4096 entries the per-c divisor LRU held:
+        # a second table at the bound factors nothing again
+        bound = 6000
+        re, im, _ = _lattice_arrays(bound)
+        n_canon = np.count_nonzero((re > 0) & (im >= 0))
+        assert n_canon > 4096
+        calls = []
+        factor = eisenstein.factor_gauss
+        monkeypatch.setattr(eisenstein, "factor_gauss",
+                            lambda c: calls.append(c) or factor(c))
+        _block_table.cache_clear()
+        first = _block_table(bound)
+        assert len(calls) == n_canon
+        second = _block_table(bound)
+        assert len(calls) == n_canon
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
 
 class TestTwoRouteAgreement:
     POINT = H3Point(0.31, 0.17, 0.8)
@@ -359,6 +378,23 @@ class TestFourierExpansion:
         terms = fourier_expansion_terms(params)
         from picard_eisenstein.lseries import _lattice_arrays
         assert len(terms.nonconstant_terms) == len(_lattice_arrays(40)[0])
+
+    def test_frequency_cut_scales_with_im_s(self, monkeypatch):
+        # the leading terms are of size exp(-pi |Im s| / 2): moving the cut
+        # 45 further out changes nothing at s = 1.8 + 15i
+        p, s = H3Point(-0.31, 0.05, 0.95), 1.8 + 15j
+        cut = eisenstein._frequency_cut
+        # the default lattice bound still holds the wider cut
+        assert ((cut(s) + 45.0) / (2 * pi * p.lam)) ** 2 \
+            < TruncationConfig().lattice_norm_bound
+        params = [SeriesParams(SpectralIndex.make(*lkm), s)
+                  for lkm in ((2, 1, 0), (3, -1, 2))]
+        base = [eisenstein_fourier(par, p) for par in params]
+        monkeypatch.setattr(eisenstein, "_frequency_cut",
+                            lambda s: cut(s) + 45.0)
+        for par, val in zip(params, base):
+            wide = eisenstein_fourier(par, p)
+            assert abs(val - wide) <= 1e-13 * abs(wide)
 
 
 class TestPsiAndMellin:

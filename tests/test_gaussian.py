@@ -1,13 +1,16 @@
 import math
+import random
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from picard_eisenstein.gaussian import (
-    CosetRep, GaussInt, ONE, UNITS, ZERO, canonical_associate,
-    complete_to_sl2, divisors, enumerate_coset_reps, enumerate_shells,
-    factor_gauss, gauss_divmod, gauss_gcd, gauss_xgcd, gaussian_primes,
-    is_coprime, residues_mod, shell_key,
+    CosetRep, GaussInt, ONE, UNITS, ZERO, _factor_int, _rational_primes,
+    _sqrt_minus_one, canonical_associate, complete_to_sl2, divisors,
+    enumerate_coset_reps, enumerate_shells, factor_gauss, gauss_divmod,
+    gauss_gcd, gauss_xgcd, gaussian_primes, is_coprime, residues_mod,
+    shell_key,
 )
 
 gints = st.builds(GaussInt, st.integers(-50, 50), st.integers(-50, 50))
@@ -112,6 +115,29 @@ class TestPrimes:
             n = p.norm()
             r = math.isqrt(n)
             assert (r * r == n and r > 1) or all(n % k for k in range(2, n))
+
+
+class TestRationalPrimitives:
+    """The rational factoring behind factor_gauss against sympy (a test-only
+    oracle). The factor order matters as well: it fixes the order of the
+    divisors, and with it the summation order of the coset row sum."""
+
+    def test_factor_int(self):
+        rng = random.Random(40127)
+        ns = list(range(1, 20001)) + [rng.randint(1, 10 ** 6)
+                                      for _ in range(2000)]
+        for n in ns:
+            assert list(_factor_int(n).items()) == \
+                list(sympy.factorint(n).items())
+
+    def test_rational_primes(self):
+        for n in (0, 1, 2, 3, 4, 100, 10007):
+            assert _rational_primes(n) == list(sympy.primerange(2, n + 1))
+
+    def test_sqrt_minus_one(self):
+        for p in sympy.primerange(5, 20000):
+            if p % 4 == 1:
+                assert _sqrt_minus_one(p) == sympy.sqrt_mod(-1, p)
 
 
 class TestCosets:

@@ -1,12 +1,14 @@
-from math import exp, pi, sqrt
+from math import cosh, exp, pi, sqrt
 
 import mpmath
 import numpy as np
 import pytest
 
+from picard_eisenstein import specfun
 from picard_eisenstein.specfun import (
-    ComplexOrder, PoleError, bessel_k_complex, bessel_k_half, digamma,
-    digamma_shift, digamma_shifted, gamma_complex, kk_mellin_integral,
+    ComplexOrder, PoleError, bessel_k_complex, bessel_k_complex_array,
+    bessel_k_half, digamma, digamma_shift, digamma_shifted, gamma_complex,
+    kk_mellin_integral,
 )
 
 RNG = np.random.default_rng(99173)
@@ -115,6 +117,124 @@ class TestBesselK:
         v1 = bessel_k_complex(ComplexOrder(0.5, 1.0), 2.0)
         v2 = bessel_k_complex(0.5 + 1j, 2.0)
         assert v1 == v2
+
+
+def bessel_trap_mp(nu: complex, x: float,
+                   target_rel: float = 1e-13) -> complex:
+    """Trapezoid of int_0^inf exp(-x cosh u) cosh(nu u) du on the real axis
+    in mpmath arithmetic, with a working precision that covers the
+    exp(-pi |Im nu| / 2) cancellation plus the requested relative accuracy
+    (the large-order path of bessel_k_complex before it moved to float64)."""
+    t = abs(nu.imag)
+    sr = abs(nu.real)
+    cancel_digits = (pi * t / 2.0 + x) / 2.302585
+    digits = int(25 + cancel_digits)
+    with mpmath.workdps(digits):
+        nu_m = mpmath.mpc(nu)
+        x_m = mpmath.mpf(x)
+        u_max = 1.0
+        need = 2.302585 * (digits + 5)
+        while x * (cosh(u_max) - 1.0) - sr * u_max < need:
+            u_max += 0.5
+        h = mpmath.mpf(min(0.1, 1.5 / (t + 1.0)))
+        f = lambda u: mpmath.exp(-x_m * mpmath.cosh(u)) * mpmath.cosh(nu_m * u)
+        n = int(u_max / h) + 1
+        total = mpmath.mpf("0.5") * f(mpmath.mpf(0))
+        total += mpmath.fsum(f(h * i) for i in range(1, n + 1))
+        prev = h * total
+        for _ in range(24):
+            # refine: add midpoints only
+            mid = mpmath.fsum(f(h * (i + mpmath.mpf("0.5")))
+                              for i in range(0, 2 * n))
+            h /= 2
+            n *= 2
+            total += mid
+            cur = h * total
+            if abs(cur - prev) <= mpmath.mpf(target_rel) * abs(cur):
+                return complex(cur)
+            prev = cur
+    raise ArithmeticError("high-precision Bessel quadrature did not "
+                          f"stabilize for nu={nu}, x={x}")
+
+
+def besselk_mp(nu: complex, x: float) -> complex:
+    with mpmath.workdps(40 + int(0.7 * abs(nu.imag))):
+        return complex(mpmath.besselk(mpmath.mpc(nu.real, nu.imag), x))
+
+
+def rotated_grid(n: int, seed: int):
+    """Seeded orders with |Im nu| in [12, 200] of both signs and
+    |Re nu| <= 7, each with a log-uniform argument in
+    [1e-3, 48 + pi |Im nu| / 2]; a third of the orders are near the
+    imaginary axis, where K oscillates in x below x = |Im nu|."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        t = rng.uniform(12.0, 20.0) if i % 2 else rng.uniform(12.0, 200.0)
+        a = rng.uniform(-0.5, 0.5) if i % 3 == 0 else rng.uniform(-7.0, 7.0)
+        x = exp(rng.uniform(np.log(1e-3), np.log(48.0 + pi * t / 2.0)))
+        out.append((complex(a, t * rng.choice([-1.0, 1.0])), x))
+    return out
+
+
+class TestBesselKRotated:
+    """The float64 trapezoid on the rotated path (|Im nu| > 12)."""
+
+    def test_grid_against_besselk(self):
+        worst = worst_low = 0.0
+        for nu, x in rotated_grid(120, 20021):
+            ref = besselk_mp(nu, x)
+            err = abs(bessel_k_complex(nu, x) - ref) / abs(ref)
+            worst = max(worst, err)
+            if abs(nu.imag) <= 20.0 and x <= 80.0:
+                worst_low = max(worst_low, err)
+        assert worst <= 2e-11
+        assert worst_low <= 1e-12
+
+    def test_grid_against_trapezoid_oracle(self):
+        for nu, x in rotated_grid(12, 55017):
+            ref = bessel_trap_mp(nu, x)
+            err = abs(bessel_k_complex(nu, x) - ref) / abs(ref)
+            assert err <= (1e-12 if abs(nu.imag) <= 20.0 and x <= 80.0
+                           else 2e-11)
+
+    def test_array_matches_points(self):
+        nu = complex(1.3, -15.2)
+        xs = np.array([0.05, 2.0, 17.0, 60.0])
+        arr = bessel_k_complex_array(nu, xs, 1e-12)
+        for x, val in zip(xs, arr):
+            ref = besselk_mp(nu, float(x))
+            assert abs(val - ref) <= 1e-12 * abs(ref)
+
+    def test_continuous_across_switch(self):
+        # orders 12 - d and 12 + d take the two paths; K moves by O(d), and
+        # the real-axis path keeps about ten digits at |Im nu| = 12, x >= 3
+        d = 1e-12
+        for a in (0.0, 1.5, -4.0, 7.0):
+            for sign in (1.0, -1.0):
+                for x in (3.0, 5.0, 20.0, 60.0):
+                    below = bessel_k_complex(complex(a, sign * (12.0 - d)), x)
+                    above = bessel_k_complex(complex(a, sign * (12.0 + d)), x)
+                    assert abs(above - below) <= 1e-9 * abs(below)
+
+    def test_work_arrays_sliced(self, monkeypatch):
+        # tiny arguments need long paths: the (argument, node) work arrays
+        # are cut to at most 2^20 entries however many arguments share them
+        sizes = []
+        real_exp = np.exp
+
+        def recording_exp(arg, *a, **k):
+            sizes.append(np.size(arg))
+            return real_exp(arg, *a, **k)
+
+        monkeypatch.setattr(specfun.np, "exp", recording_exp)
+        xs = np.full(512, 1e-3)
+        vals = bessel_k_complex_array(complex(7.0, 200.0), xs)
+        monkeypatch.undo()
+        assert max(sizes) <= 2 ** 20
+        assert sum(sizes) > 2 ** 21
+        ref = besselk_mp(complex(7.0, 200.0), 1e-3)
+        assert np.all(np.abs(vals - ref) <= 2e-11 * abs(ref))
 
 
 def quad_oracle(z, mu, nu):
