@@ -480,7 +480,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("scan", help="pairing scan over t, CSV/JSON output")
     ps.add_argument("--task", choices=("incomplete", "cusp"),
-                    default="incomplete")
+                    default="incomplete",
+                    help="incomplete: the incomplete-series pairing; cusp: "
+                    "the cusp pairing with mock_l_provider, which sets "
+                    "every cusp-form L-value to 1")
     ps.add_argument("--t-min", dest="t_min", type=float, default=50.0)
     ps.add_argument("--t-max", dest="t_max", type=float, default=200.0)
     ps.add_argument("--steps", type=int, default=4)

@@ -36,6 +36,7 @@ from scipy import special as sp
 from .gaussian import (
     GaussInt, canonical_associate, divisors, factor_gauss, gaussian_primes,
 )
+from .memo import ArrayMemo
 from .specfun import PoleError
 
 
@@ -90,15 +91,24 @@ def _chi_angle(n: int, re, im):
 #: (2 sqrt(N) + 1)^2 int64 grids, 32 MB each at this value
 MAX_NORM_BOUND = 10 ** 6
 
+#: total size of the cached lattice tables; a table at MAX_NORM_BOUND takes
+#: about 75 MB, so one such table fits next to the small ones
+LATTICE_CACHE_BYTES = 128 * 2 ** 20
 
-@lru_cache(maxsize=8)
+_LATTICE_TABLES = ArrayMemo(LATTICE_CACHE_BYTES)
+
+
 def _lattice_arrays(max_norm: int):
     """(re, im, norm) int64 arrays of all nonzero points with norm <= bound,
-    sorted by (norm, re, im). Bounds above MAX_NORM_BOUND are refused
+    sorted by (norm, re, im); read-only and cached up to
+    LATTICE_CACHE_BYTES in total. Bounds above MAX_NORM_BOUND are refused
     before anything is allocated."""
     if max_norm > MAX_NORM_BOUND:
         raise ValueError(f"lattice norm bound {max_norm} exceeds "
                          f"{MAX_NORM_BOUND}")
+    cached = _LATTICE_TABLES.get(max_norm)
+    if cached is not None:
+        return cached
     r = isqrt(max_norm)
     a = np.arange(-r, r + 1, dtype=np.int64)
     re, im = np.meshgrid(a, a, indexing="ij")
@@ -107,7 +117,7 @@ def _lattice_arrays(max_norm: int):
     keep = (norm > 0) & (norm <= max_norm)
     re, im, norm = re[keep], im[keep], norm[keep]
     order = np.lexsort((im, re, norm))
-    return re[order], im[order], norm[order]
+    return _LATTICE_TABLES.put(max_norm, (re[order], im[order], norm[order]))
 
 
 @lru_cache(maxsize=8)

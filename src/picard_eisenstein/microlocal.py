@@ -19,9 +19,11 @@ dlam/lam (see TestFunctionPsi.mellin).
 from __future__ import annotations
 
 import cmath
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import cos, factorial, log, pi, sqrt
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import loggamma
@@ -33,6 +35,7 @@ from .h3 import (GroupElementSL2C, H3Point, QuadResult, frame_transport,
 from .lseries import (SyntheticCuspCoefficients, l_function_continued,
                       l_function_values, zeta_K_continued,
                       zeta_K_log_derivative)
+from .memo import ArrayMemo
 from .specfun import digamma, digamma_shifted, log_gamma
 from .su2 import (SU2_IDENTITY, SpectralIndex, SU2Element, b_factor,
                   check_index, haar_grid, haar_integrate, t_basis,
@@ -150,15 +153,51 @@ def reduce_to_fundamental(p: H3Point, max_steps: int = 500):
     raise ArithmeticError(f"reduction did not terminate at {p}")
 
 
-def _reduce_arrays(xs, ys, lams, max_steps: int = 500):
-    """Vectorized reduction carrying the rotation cocycle: returns flattened
-    (x, y, lam, alpha, beta) with K[alpha, beta] the frame rotation from each
-    input point to its reduced representative (translations transport
-    trivially; each inversion contributes K[conj(z)/r, -lam/r], r = |z|^2 +
-    lam^2 at the current point, composed on the left)."""
-    x = np.array(xs, dtype=float).ravel().copy()
-    y = np.array(ys, dtype=float).ravel().copy()
-    lam = np.array(lams, dtype=float).ravel().copy()
+#: total size of the memoized grid reductions (see _reduce_arrays)
+REDUCTION_MEMO_BYTES = 16 * 2 ** 20
+
+_REDUCTIONS = ArrayMemo(REDUCTION_MEMO_BYTES)
+
+
+class Reduction(NamedTuple):
+    """Flattened reduced coordinates of a point array, and the frame
+    rotation K[alpha, beta] from each input point to its reduced
+    representative; alpha and beta are None when no point was inverted,
+    i.e. when every rotation is the identity."""
+    x: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    alpha: np.ndarray | None
+    beta: np.ndarray | None
+
+
+def _reduce_arrays(xs, ys, lams, max_steps: int = 500) -> Reduction:
+    """Vectorized reduction carrying the rotation cocycle (translations
+    transport trivially; each inversion contributes K[conj(z)/r, -lam/r],
+    r = |z|^2 + lam^2 at the current point, composed on the left).
+
+    A call in which some point needs an inversion is memoized, because the
+    quadrature lays the same grids again for every function and exponent:
+    the key is the shape and a blake2b-256 digest of the input bytes of
+    x, y and lam, the stored arrays are read-only, and the memo keeps at
+    most REDUCTION_MEMO_BYTES of them (least recently used out first).
+    The loop is deterministic in its input bytes, so a hit returns exactly
+    the arrays a fresh reduction would give. The direct height-Mellin route
+    reduces four image-box grids (about 2 MB); a sweep of the image box to
+    its end would lay many more, and the cap keeps their memory bounded.
+    Calls in which no point is inverted (the band grids) are returned at
+    once without hashing or storing."""
+    x0, y0, lam = (np.array(a, dtype=float).ravel() for a in (xs, ys, lams))
+    x, y = x0 - np.round(x0), y0 - np.round(y0)
+    if not (x * x + y * y + lam * lam < 1.0 - 1e-15).any():
+        return Reduction(x, y, lam, None, None)
+    digest = hashlib.blake2b(digest_size=32)
+    for a in (x0, y0, lam):
+        digest.update(a.tobytes())
+    key = (np.shape(xs), np.shape(ys), np.shape(lams), digest.digest())
+    hit = _REDUCTIONS.get(key)
+    if hit is not None:
+        return hit
     ta = np.ones(x.shape, dtype=complex)
     tb = np.zeros(x.shape, dtype=complex)
     for _ in range(max_steps):
@@ -167,7 +206,7 @@ def _reduce_arrays(xs, ys, lams, max_steps: int = 500):
         r2 = x * x + y * y + lam * lam
         mask = r2 < 1.0 - 1e-15
         if not mask.any():
-            return x, y, lam, ta, tb
+            return _REDUCTIONS.put(key, Reduction(x, y, lam, ta, tb))
         r = np.sqrt(r2[mask])
         sa = (x[mask] - 1j * y[mask]) / r
         sb = -lam[mask] / r
@@ -245,10 +284,14 @@ class InvariantFiberFunction(FiberFunction):
         w = np.asarray(self.psi(lam), dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         for sd in self.seeds:
+            if ta is None and sd.two_m != sd.two_k:
+                continue  # D^{l/2}_{m,k}(identity) = delta_{mk}
             f1, f2 = sd.frequency
             pz = np.cos(2.0 * pi * (f1 * x + f2 * y))
-            d = wigner_monomial(sd.l, sd.two_m, sd.two_k, ta, tb)
-            out += (sd.amplitude * sqrt((sd.l + 1) / TWO_PI_SQ)) * pz * d
+            term = (sd.amplitude * sqrt((sd.l + 1) / TWO_PI_SQ)) * pz
+            if ta is not None:
+                term = term * wigner_monomial(sd.l, sd.two_m, sd.two_k, ta, tb)
+            out += term
         return (4.0 * w * out).reshape(shape)
 
 
@@ -319,7 +362,14 @@ def mellin_direct_result(f: FiberFunction, s: complex,
     """Literal route: integral of f(p, identity) * lam^{1+s} over the unit
     strip against dV. For an invariant function the integrand is evaluated
     through the vectorized reduction; for a plain mode sum it is the mode
-    coefficients at k = m directly."""
+    coefficients at k = m directly.
+
+    The image box (1e-12, 1) gets the same Gauss-Legendre grids for every
+    f and s (four of them when two quiet panels end the sweep), so their
+    reductions come from the memo of _reduce_arrays: keyed on a digest of
+    the grid bytes, capped at REDUCTION_MEMO_BYTES, and exact, since the
+    reduction depends on the points alone. Band grids need no inversion;
+    there the rotation is the identity and no Wigner factor is formed."""
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("the strip transform needs Re(s) > 1")

@@ -19,6 +19,7 @@ from picard_eisenstein.lseries import (
     moebius_gauss, ramanujan_identity_check, sigma_twisted, zeta_K,
     zeta_K_continued, zeta_K_log_derivative,
 )
+from picard_eisenstein.memo import ArrayMemo
 from picard_eisenstein.microlocal import (CuspFormSpec, mock_l_provider,
                                           scan_t)
 from picard_eisenstein.specfun import PoleError
@@ -71,6 +72,24 @@ class TestLatticeArrays:
         with pytest.raises(ValueError):
             _lattice_arrays(MAX_NORM_BOUND + 1)
         assert time.perf_counter() - start < 1.0
+
+    def test_largest_table_fits_the_cap(self):
+        # 24 bytes per point, about pi N points at bound N
+        assert 24 * 3.2 * MAX_NORM_BOUND < lseries.LATTICE_CACHE_BYTES
+
+    def test_large_table_evicts_the_others(self, monkeypatch):
+        big = sum(a.nbytes for a in _lattice_arrays(2000))
+        tables = ArrayMemo(big + 1000)
+        monkeypatch.setattr(lseries, "_LATTICE_TABLES", tables)
+        small = [_lattice_arrays(n) for n in (10, 20, 40)]
+        assert len(tables) == 3
+        assert _lattice_arrays(40) is small[2]
+        table = _lattice_arrays(2000)
+        assert len(tables) == 1 and 2000 in tables
+        assert tables.nbytes == big
+        assert _lattice_arrays(2000) is table
+        assert not table[0].flags.writeable
+        assert np.array_equal(_lattice_arrays(10)[2], small[0][2])
 
 
 class TestLFunction:

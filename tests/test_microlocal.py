@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from picard_eisenstein import microlocal
 from picard_eisenstein.eisenstein import GAMMA_GENERATORS, TestFunctionPsi
 from picard_eisenstein.h3 import (
     GroupElementSL2C, H3Point, frame_transport, mobius_act,
@@ -18,6 +19,7 @@ from picard_eisenstein.microlocal import (
     verify_suma_es0,
 )
 from picard_eisenstein.lseries import l_function_continued
+from picard_eisenstein.memo import ArrayMemo
 from picard_eisenstein.microlocal import (_line_integrand,
                                           _mellin_log_derivative,
                                           _reduce_arrays)
@@ -130,6 +132,66 @@ class TestReduction:
             assert abs(ta[i] - t0.alpha) < 1e-9
             assert abs(tb[i] - t0.beta) < 1e-9
 
+    def test_vectorized_matches_scalar_deep(self):
+        # a dozen inversions per point; a rounding of the input moves the
+        # reduced point and its rotation by that much times the stretch
+        # lam_q / lam_p (up to 1e12 here), so the tolerance scales with it
+        rng = np.random.default_rng(90412)
+        xs = rng.uniform(-2, 2, 40)
+        ys = rng.uniform(-2, 2, 40)
+        lams = np.exp(rng.uniform(log(1e-12), log(1e-9), 40))
+        x, y, lam, ta, tb = _reduce_arrays(xs, ys, lams)
+        for i in range(40):
+            p = H3Point(xs[i], ys[i], lams[i])
+            q, gamma = reduce_to_fundamental(p)
+            t0 = frame_transport(gamma, p)
+            tol = 1e-14 * q.lam / p.lam
+            assert abs(x[i] - q.x) < tol and abs(y[i] - q.y) < tol
+            assert abs(lam[i] - q.lam) < tol
+            assert abs(ta[i] - t0.alpha) < tol
+            assert abs(tb[i] - t0.beta) < tol
+
+    def test_inverting_call_is_memoized(self, monkeypatch):
+        memo = ArrayMemo(microlocal.REDUCTION_MEMO_BYTES)
+        monkeypatch.setattr(microlocal, "_REDUCTIONS", memo)
+        rng = np.random.default_rng(5150)
+        xs, ys = rng.uniform(-1, 1, (2, 64))
+        lams = rng.uniform(1e-6, 0.5, 64)
+        first = _reduce_arrays(xs, ys, lams)
+        again = _reduce_arrays(xs.copy(), ys.copy(), lams.copy())
+        assert len(memo) == 1 and again is first
+        for a in first:
+            assert not a.flags.writeable
+        ys[7] = np.nextafter(ys[7], 1.0)
+        moved = _reduce_arrays(xs, ys, lams)
+        assert len(memo) == 2 and moved is not first
+        monkeypatch.setattr(microlocal, "_REDUCTIONS",
+                            ArrayMemo(microlocal.REDUCTION_MEMO_BYTES))
+        cold = _reduce_arrays(xs, ys, lams)
+        assert cold is not moved
+        for a, b in zip(moved, cold):
+            assert np.array_equal(a, b)
+
+    def test_band_call_is_identity_and_not_stored(self, monkeypatch):
+        memo = ArrayMemo(microlocal.REDUCTION_MEMO_BYTES)
+        monkeypatch.setattr(microlocal, "_REDUCTIONS", memo)
+        xs, ys = RNG.uniform(-2, 2, (2, 30))
+        red = _reduce_arrays(xs, ys, np.full(30, 1.2))
+        assert red.alpha is None and red.beta is None
+        assert len(memo) == 0
+        assert np.array_equal(red.x, xs - np.round(xs))
+
+    def test_memo_is_bounded(self, monkeypatch):
+        rng = np.random.default_rng(2718)
+        grids = [rng.uniform(1e-3, 0.9, (3, 100)) for _ in range(3)]
+        one = sum(a.nbytes for a in _reduce_arrays(*grids[0]))
+        memo = ArrayMemo(2 * one)
+        monkeypatch.setattr(microlocal, "_REDUCTIONS", memo)
+        kept = [_reduce_arrays(*g) for g in grids]
+        assert len(memo) == 2 and memo.nbytes <= 2 * one
+        assert _reduce_arrays(*grids[2]) is kept[2]
+        assert _reduce_arrays(*grids[0]) is not kept[0]
+
 
 class TestInvariantFunction:
     def make(self):
@@ -167,6 +229,29 @@ class TestInvariantFunction:
             want = f.evaluate(H3Point(xs[i], ys[i], lams[i]))
             assert abs(vals[i] - want) < 1e-12 * max(1.0, abs(want))
 
+    def test_band_identity_path_matches_monomial(self, monkeypatch):
+        # in the band no point is inverted and the Wigner factors are
+        # skipped; the oracle hands the same reduction to wigner_monomial as
+        # an explicit identity rotation
+        f = invariant_fiber_function(
+            [SeedMode(0, 0, 0, 1.0, (0, 0)), SeedMode(2, 2, 0, 0.7, (1, 0)),
+             SeedMode(2, 0, 0, 0.5, (1, 1)), SeedMode(4, 4, 4, 0.6j, (0, 2)),
+             SeedMode(4, -2, 4, 0.3, (0, 0))], BAND_PSI)
+        xs, ys = RNG.uniform(-2, 2, (2, 4, 50))
+        lams = np.exp(RNG.uniform(log(f.band[0]), log(f.band[1]), (4, 50)))
+        assert _reduce_arrays(xs, ys, lams).alpha is None
+        fast = f.strip_values(xs, ys, lams)
+
+        def explicit_identity(*args):
+            red = _reduce_arrays(*args)
+            return red._replace(alpha=np.ones(red.x.shape, dtype=complex),
+                                beta=np.zeros(red.x.shape, dtype=complex))
+        monkeypatch.setattr(microlocal, "_reduce_arrays", explicit_identity)
+        slow = f.strip_values(xs, ys, lams)
+        assert fast.shape == slow.shape == (4, 50)
+        assert np.array_equal(fast, slow)
+        assert np.abs(fast).max() > 0.0
+
 
 class TestMellinDirect:
     def test_single_plain_mode_closed_form(self):
@@ -178,6 +263,18 @@ class TestMellinDirect:
             got = mellin_direct_result(f, s).value
             want = sqrt(1.0 / (2.0 * pi ** 2)) * complex(psi.mellin(1.0 - s))
             assert abs(got - want) < 1e-8 * abs(want)
+
+    def test_cold_and_warm_memo_agree_bitwise(self, monkeypatch):
+        monkeypatch.setattr(microlocal, "_REDUCTIONS",
+                            ArrayMemo(microlocal.REDUCTION_MEMO_BYTES))
+        f = invariant_fiber_function(
+            [SeedMode(0, 0, 0), SeedMode(2, 0, 0, 0.5, (1, 1))],
+            TestFunctionPsi(center=2.9, width=0.3))
+        cold = mellin_direct_result(f, 1.8)
+        assert len(microlocal._REDUCTIONS) > 0
+        warm = mellin_direct_result(f, 1.8)
+        assert warm.value == cold.value
+        assert warm.error_estimate == cold.error_estimate
 
     def test_zero_function(self):
         f = FiberFunction((FiberMode(0, 0, 0, lambda p: 0.0),))
