@@ -3,9 +3,9 @@ function on the group, truncated coset-sum evaluation (absolutely convergent
 half-plane) with a rigorous tail estimate, the Fourier-Bessel expansion of
 the same series (usable down to the critical line, where it serves as the
 definition of the continued series) with the one vectorized evaluator that
-every expansion route goes through, incomplete series smoothed by a test
-function on the height axis -- evaluated both as a literal coset sum and as
-a Mellin contour integral -- and the test-function / Mellin-transform pair.
+every expansion route goes through, and the test functions on the height
+axis with their Mellin transforms, which smooth the series into the
+incomplete series of the pairings (microlocal).
 
 Conventions. A coset of the unipotent subgroup is a coprime bottom row
 (c, d); the four diagonal-unit rows (0, u) give the constant term and force
@@ -17,16 +17,14 @@ half-integer lattice; a frequency is stored as the Gaussian integer 2w.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import chain
 from math import exp, log, pi, sqrt
 
 import numpy as np
 
-from .gaussian import GaussInt, canonical_associate, factor_gauss
-from .h3 import GroupElementSL2C, H3Point, iwasawa_decompose
-from .lseries import (MAX_NORM_BOUND, _lattice_arrays, l_function_continued,
-                      sigma_twisted)
+from .gaussian import GaussInt, canonical_associate
+from .h3 import GroupElementSL2C, iwasawa_decompose
+from .lseries import (_canonical_mu_table, _lattice_arrays,
+                      l_function_continued, sigma_twisted)
 from .specfun import bessel_k_complex_array, gamma_complex
 from .su2 import (SpectralIndex, b_factor, wigner_column, wigner_D_su2,
                   xi_weight)
@@ -44,18 +42,6 @@ BESSEL_TOL = 1e-12
 #: hundred kB, and larger chunks save little Python overhead while peak
 #: memory grows with them
 ROW_CHUNK = 4096
-
-# five generators of the Gaussian modular group (as SL(2)-matrices):
-# both unit translations, the inversion, the diagonal unit, and the
-# lower unit translation
-GAMMA_GENERATORS = (
-    GroupElementSL2C.translation(1.0),
-    GroupElementSL2C.translation(1j),
-    GroupElementSL2C(0.0, -1.0, 1.0, 0.0),
-    GroupElementSL2C(1j, 0.0, 0.0, -1j),
-    GroupElementSL2C(1.0, 0.0, 1.0, 1.0),
-)
-
 
 @dataclass(frozen=True)
 class TruncationConfig:
@@ -100,30 +86,17 @@ def f_seed(index: SpectralIndex, g: GroupElementSL2C, s: complex) -> complex:
 
 # -- row enumeration ------------------------------------------------------------
 
-def _squarefree_divisors(c: GaussInt) -> tuple[tuple[int, complex, int], ...]:
-    """(moebius sign, complex value, norm) over the squarefree divisors of c
-    (one associate each)."""
-    _, fac = factor_gauss(c)
-    out = [(1, 1.0 + 0.0j, 1)]
-    for q in fac:
-        qc, qn = complex(q.re, q.im), q.norm()
-        out += [(-mu, val * qc, n * qn) for (mu, val, n) in out]
-    return tuple(out)
-
-
-@lru_cache(maxsize=4)
-def _block_table(bound: int):
-    """(c index, Moebius sign, g, |g|^2) arrays over the Moebius blocks of
-    the coset row sum: the squarefree divisors g of every canonical c
-    (re > 0, im >= 0) with |c|^2 <= bound, c indexing _lattice_arrays(bound).
-    Cached per bound, so repeated row sums at one bound factor nothing."""
-    re, im, _ = _lattice_arrays(bound)
-    canon = np.nonzero((re > 0) & (im >= 0))[0]
-    divisors = [_squarefree_divisors(GaussInt(int(re[i]), int(im[i])))
-                for i in canon]
-    c_idx = np.repeat(canon, [len(d) for d in divisors])
-    mu, g, g_norm = map(np.array, zip(*chain.from_iterable(divisors)))
-    return c_idx, mu, g, g_norm
+def _norm_weight_table(m: int, s: complex, bound: int) -> np.ndarray:
+    """W[n], n = 0..bound: the sum over canonical g (re > 0, im >= 0) with
+    |g|^2 <= bound // n of mu(g) |g|^{-2(1+s)} (g/|g|)^{2m}, the factor that
+    a row of norm n gains from its multiples g (c, d) in the coset row sum.
+    One cumulative sum over lseries._canonical_mu_table; W[0] is unused."""
+    re, im, norm, mu = _canonical_mu_table(bound)
+    phase = ((re + 1j * im) / np.sqrt(norm)) ** (2 * m)
+    cum = np.cumsum(mu * np.exp(-(1.0 + s) * np.log(norm)) * phase)
+    n = np.arange(1, bound + 1)
+    return np.append(0.0, cum[np.searchsorted(norm, bound // n,
+                                              side="right") - 1])
 
 
 def _height_form_min(z: complex, lam: float) -> float:
@@ -135,45 +108,61 @@ def _height_form_min(z: complex, lam: float) -> float:
 
 
 def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
-                    hweight) -> np.ndarray:
-    """Sum of conj(D_{am}(row rotation)) * hweight(row height) over the
+                    s: complex) -> np.ndarray:
+    """Sum of conj(D_{am}(row rotation)) * (row height)^{1+s} over the
     cosets of the unipotent subgroup, the coprime rows (c, d) with
     |c|^2 + |d|^2 <= bound, returned as a vector over a = -l..l.
 
     A unit u sends the row (c, d) to (uc, ud), which has the same height
     and the rotation K diag(u, conj u), so each class of four rows sums to
-    sum_u u^{2m} (4 for even m, 0 for odd m) times one of its rows. The sum
-    runs over one row per class, c in the first quadrant (re > 0, im >= 0)
-    or the identity coset (0, 1) of rotation 1 and height lam, and is then
-    multiplied by that unit sum. The coprimality condition is opened up by
-    Moebius inversion over the squarefree divisors g of c (an exact
-    rearrangement of the finite sum): the block of (c, g) holds the rows
-    (c, g d) over the lattice points d with |g d|^2 <= bound - |c|^2, plus
-    the row d = 0, which cancels over the divisors unless c is a unit.
+    sum_u u^{2m} (4 for even m, 0 for odd m) times one of its rows. The
+    identity coset (0, 1) has rotation 1 and height lam; every other class
+    has one row with c in the first quadrant (re > 0, im >= 0).
 
-    The blocks come from _block_table; their rows are walked in chunks
-    of ROW_CHUNK rows, blocks straddling chunk ends, and each chunk gets
-    one numpy pass: row heights, rotations, the weights (Moebius sign
-    folded in) and all 2l+1 Wigner entries at once (su2.wigner_column).
-    The rows are never all held at once: their memory is a few chunk-sized
-    arrays at any bound (the block table still grows with the bound).
+    Coprimality is opened up by Moebius inversion over the common divisor:
+    the sum over the coprime rows with c != 0 is the sum over canonical g
+    of mu(g) times the sum over all rows (c, d), c != 0, of the term at
+    g (c, d). The row g (c, d) has the height h / |g|^2 and the rotation
+    K diag(u, conj u),
+    u = g/|g|, of the row (c, d) (height h, rotation K), and
+    conj(D_{am}(K diag(u, conj u))) = conj(D_{am}(K)) u^{2m} for every a.
+    So the power weight factors by the row norm n = |c|^2 + |d|^2:
+
+        sum over the coprime rows with c canonical = sum over c
+        canonical, every d (d = 0 included), n <= bound, of
+        conj(D_{am}(K)) h^{1+s} W[n],
+
+    with W = _norm_weight_table(m, s, bound), an exact rearrangement of
+    the finite sum. One block per canonical c holds its rows in the order
+    of _lattice_arrays, d = 0 first. The rows are walked in chunks of
+    ROW_CHUNK rows, blocks straddling chunk ends, and each chunk gets one
+    numpy pass: the weights and all 2l+1 Wigner entries at once
+    (su2.wigner_column). The row (c, d) has h = lam / v^2 and
+    K = K[t / v, lam conj(c) / v], t = c z + d, v^2 = |t|^2 + lam^2 |c|^2;
+    the entries are homogeneous of degree 2l in (alpha, beta), so they are
+    taken at (t, lam conj(c)) and v^{-2l} joins the weight. The rows are
+    never all held at once: their memory is a few chunk-sized arrays at
+    any bound.
     """
     acc = np.zeros(2 * l + 1, dtype=complex)
     units = _diagonal_unit_sum(m)
     if units == 0.0:
         return acc
-    acc[m + l] = hweight(lam)
+    lam_power = np.exp((1.0 + s) * np.log(lam))
+    acc[m + l] = lam_power
     re, im, norm = _lattice_arrays(bound)
-    d_lattice = np.append(re + 1j * im, 0.0)  # trailing entry: the d = 0 row
-    c_idx, mu_tab, g_tab, g_norm = _block_table(bound)
-    count = np.searchsorted(norm, (bound - norm[c_idx]) // g_norm,
-                            side="right")
-    ends = np.cumsum(count + 1)
-    starts = ends - (count + 1)
-    c_tab = re[c_idx] + 1j * im[c_idx]
+    d_lattice = np.append(0.0, re + 1j * im)  # leading entry: the d = 0 row
+    d_norm = np.append(0, norm)
+    canon = np.nonzero((re > 0) & (im >= 0))[0]
+    c_norm = norm[canon]
+    count = np.searchsorted(d_norm, bound - c_norm, side="right")
+    ends = np.cumsum(count)
+    starts = ends - count
+    c_tab = re[canon] + 1j * im[canon]
     cz_tab = c_tab * z                    # per block: c z,
     beta_tab = lam * c_tab.conjugate()    # lam conj(c),
-    shift_tab = lam * lam * norm[c_idx]   # and lam^2 |c|^2
+    shift_tab = lam * lam * c_norm        # and lam^2 |c|^2
+    weight = lam_power * _norm_weight_table(m, s, bound)
     n_rows = int(ends[-1])
     for r0 in range(0, n_rows, ROW_CHUNK):
         r1 = min(r0 + ROW_CHUNK, n_rows)
@@ -181,13 +170,12 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
         first_row = np.maximum(starts[b0:b1 + 1], r0)
         blk = np.repeat(np.arange(b0, b1 + 1),
                         np.minimum(ends[b0:b1 + 1], r1) - first_row)
-        offset = np.arange(r0, r1) - starts[blk]
-        offset[offset == count[blk]] = len(d_lattice) - 1
-        t = cz_tab[blk] + d_lattice[offset] * g_tab[blk]
+        d_idx = np.arange(r0, r1) - starts[blk]
+        t = cz_tab[blk] + d_lattice[d_idx]
         v2 = t.real ** 2 + t.imag ** 2 + shift_tab[blk]
-        vroot = np.sqrt(v2)
-        wig = wigner_column(2 * l, 2 * m, t / vroot, beta_tab[blk] / vroot)
-        wvals = mu_tab[blk] * hweight(lam / v2)
+        wig = wigner_column(2 * l, 2 * m, t, beta_tab[blk])
+        wvals = (np.exp(-(1.0 + s + l) * np.log(v2))
+                 * weight[c_norm[blk] + d_norm[d_idx]])
         # sum_n conj(D_an) w_n, formed as the conjugate of sum_n D_an conj(w_n)
         acc += np.einsum("an,n->a", wig, wvals.conjugate()).conjugate()
     return units * acc
@@ -229,8 +217,7 @@ def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesVal
     bound = params.truncation.coset_norm_bound
     co = iwasawa_decompose(g)
     z, lam = co.z, co.height
-    vec = _row_sum_vector(l, m, z, lam, bound,
-                          lambda h: np.exp((1.0 + s) * np.log(h)))
+    vec = _row_sum_vector(l, m, z, lam, bound, s)
     value = _combine_rotation(l, k, co.k.inv(),
                               lambda rows: [vec[a + l] for a in rows])
     mu = _height_form_min(z, lam)
@@ -407,16 +394,6 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
     return evaluate
 
 
-def eisenstein_fourier(params: SeriesParams, p: H3Point) -> complex:
-    """Value of the series at the point z + lam*j assembled from its
-    Fourier-Bessel expansion; valid wherever the coefficient L-values are
-    (everything but the excluded polar set), in particular on the critical
-    line where it defines the continued series."""
-    k = params.lkm()[1]
-    ev = fourier_evaluator(params, [k], p.lam)
-    return complex(ev(p.z, p.lam)[0])
-
-
 def eisenstein_fourier_group(params: SeriesParams,
                              g: GroupElementSL2C) -> complex:
     """Expansion route at a general group element: evaluate the a-vector at
@@ -507,94 +484,3 @@ def _mellin_numeric(psi: TestFunctionPsi, s: complex) -> complex:
             return cur
         prev = cur
     return prev
-
-
-# -- incomplete series ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IncompleteSeriesResult:
-    direct_value: complex
-    contour_value: complex
-    direct_tail: float
-    contour_error: float
-
-
-def incomplete_series(index: SpectralIndex, psi: TestFunctionPsi,
-                      g: GroupElementSL2C,
-                      truncation: TruncationConfig | None = None,
-                      sigma0: float = 3.0,
-                      routes: str = "both") -> IncompleteSeriesResult:
-    """The series smoothed over the height axis by psi, computed twice:
-    directly (only rows whose height lands above the support floor of psi
-    contribute, a finite set) and as the Mellin contour integral of
-    H(sigma0 + i tau) against the expansion route at s = sigma0 - 1 + i tau.
-
-    routes: "both" (default), "direct", or "contour"; a skipped route
-    reports value None.
-    """
-    if routes not in ("both", "direct", "contour"):
-        raise ValueError(f"unknown routes selector {routes!r}")
-    trunc = truncation or TruncationConfig()
-    if index.two_l % 2 != 0:
-        raise ValueError("series indices must be integers")
-    l = index.two_l // 2
-    a_idx = index.two_k // 2
-    b_idx = index.two_m // 2
-    co = iwasawa_decompose(g)
-    z, lam = co.z, co.height
-    kinv = co.k.inv()
-
-    # direct route
-    direct, direct_tail = None, 0.0
-    if routes in ("both", "direct"):
-        eps = 0.0 if psi.kind == "compact-bump" else 1e-20
-        h_lo, _ = psi.support_interval(max(eps, 1e-20))
-        mu = _height_form_min(z, lam)
-        bound = int(lam / (h_lo * mu)) + 1
-        if bound > MAX_NORM_BOUND:
-            raise ArithmeticError(
-                f"support floor {h_lo:.3e} needs {bound} rows; lower the "
-                "decay cutoff or move the test function up")
-        vec = _row_sum_vector(l, b_idx, z, lam, bound,
-                              lambda h: np.asarray(psi(h), dtype=complex))
-        direct = _combine_rotation(l, a_idx, kinv,
-                                   lambda rows: [vec[a + l] for a in rows])
-        direct_tail = eps * pi ** 2 * float(bound) ** 2
-    if routes == "direct":
-        return IncompleteSeriesResult(direct, None, float(direct_tail), 0.0)
-
-    # contour route
-    h_peak = abs(psi.mellin(complex(sigma0, 0.0)))
-    t_cut = 4.0
-    while abs(psi.mellin(complex(sigma0, t_cut))) \
-            > 1e-12 * max(h_peak, 1e-300):
-        t_cut *= 1.4
-        if t_cut > 150.0:
-            raise ArithmeticError(
-                "Mellin transform tail does not fall below 1e-12 by "
-                f"tau = 150 (still {abs(psi.mellin(complex(sigma0, 150.0))):.2e})")
-
-    def contour_total(order: int) -> complex:
-        x_gl, w_gl = np.polynomial.legendre.leggauss(order)
-        total = 0.0 + 0.0j
-        n_panels = int(t_cut) + 1
-        width = t_cut / n_panels
-        for half in (1.0, -1.0):
-            for ip in range(n_panels):
-                taus = half * (width * ip + width * (x_gl + 1.0) / 2.0)
-                for tau, wq in zip(taus, w_gl):
-                    params = SeriesParams(index, complex(sigma0 - 1.0, tau),
-                                          trunc)
-                    e_val = _combine_rotation(
-                        l, a_idx, kinv,
-                        lambda rows: fourier_evaluator(
-                            params, rows, lam)(z, lam))
-                    total += (wq * width / 2.0
-                              * psi.mellin(complex(sigma0, tau)) * e_val)
-        return total / (2.0 * pi)
-
-    c_lo = contour_total(6)
-    c_hi = contour_total(10)
-    tail_term = abs(psi.mellin(complex(sigma0, t_cut))) * (abs(c_hi) + 1.0)
-    return IncompleteSeriesResult(direct, c_hi, float(direct_tail),
-                                  float(abs(c_hi - c_lo) + tail_term))

@@ -143,15 +143,6 @@ def _factor_from_spf(n: int, spf: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def moebius_gauss(w: GaussInt) -> int:
-    """The Moebius function of the ideal (w): 0 unless squarefree, else
-    (-1)^(number of distinct prime ideals)."""
-    _, factors = factor_gauss(w)
-    if any(e > 1 for e in factors.values()):
-        return 0
-    return -1 if len(factors) % 2 else 1
-
-
 def _moebius_from_norm_factors(re: int, im: int, nf) -> int:
     """Moebius value of the ideal (re + i*im) from the factorization of its
     norm, using divisibility by the split rational prime to detect a square."""

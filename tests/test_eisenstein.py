@@ -1,22 +1,22 @@
-import cmath
 import time
 import tracemalloc
-from math import e, exp, factorial, log, pi, sqrt
+from dataclasses import dataclass
+from math import e, factorial, log, pi, sqrt
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picard_eisenstein import eisenstein
+from picard_eisenstein import eisenstein, gaussian, lseries
 from picard_eisenstein.eisenstein import (
-    GAMMA_GENERATORS, SeriesParams, SeriesValue, TestFunctionPsi,
-    TruncationConfig, _block_table, _row_sum_vector, _squarefree_divisors,
-    eisenstein_coset_sum, eisenstein_fourier, eisenstein_fourier_group,
-    f_seed, fourier_expansion_terms, incomplete_series,
+    SeriesParams, TestFunctionPsi, TruncationConfig,
+    _combine_rotation, _height_form_min, _row_sum_vector,
+    eisenstein_coset_sum, eisenstein_fourier_group, f_seed,
+    fourier_evaluator, fourier_expansion_terms,
 )
 from picard_eisenstein.gaussian import GaussInt
-from picard_eisenstein.h3 import GroupElementSL2C, H3Point
+from picard_eisenstein.h3 import GroupElementSL2C, H3Point, iwasawa_decompose
 from picard_eisenstein.lseries import MAX_NORM_BOUND, _lattice_arrays
 from picard_eisenstein.su2 import (
     SpectralIndex, SU2Element, b_factor, random_su2, wigner_D_su2,
@@ -25,22 +25,54 @@ from picard_eisenstein.su2 import (
 
 RNG = np.random.default_rng(571204)
 
+# five generators of the Gaussian modular group (as SL(2)-matrices):
+# both unit translations, the inversion, the diagonal unit, and the
+# lower unit translation
+GAMMA_GENERATORS = (
+    GroupElementSL2C.translation(1.0),
+    GroupElementSL2C.translation(1j),
+    GroupElementSL2C(0.0, -1.0, 1.0, 0.0),
+    GroupElementSL2C(1j, 0.0, 0.0, -1j),
+    GroupElementSL2C(1.0, 0.0, 1.0, 1.0),
+)
+
 
 def point_group(p: H3Point) -> GroupElementSL2C:
     return (GroupElementSL2C.translation(p.z)
             * GroupElementSL2C.dilation(p.lam))
 
 
+def eisenstein_fourier(params: SeriesParams, p: H3Point) -> complex:
+    """Value of the series at the point z + lam*j from its Fourier-Bessel
+    expansion (the evaluator's row k at one point)."""
+    k = params.lkm()[1]
+    ev = fourier_evaluator(params, [k], p.lam)
+    return complex(ev(p.z, p.lam)[0])
+
+
+def squarefree_divisors(c: GaussInt) -> tuple[tuple[int, complex, int], ...]:
+    """(moebius sign, complex value, norm) over the squarefree divisors of c
+    (one associate each)."""
+    _, fac = gaussian.factor_gauss(c)
+    out = [(1, 1.0 + 0.0j, 1)]
+    for q in fac:
+        qc, qn = complex(q.re, q.im), q.norm()
+        out += [(-mu, val * qc, n * qn) for (mu, val, n) in out]
+    return tuple(out)
+
+
 def row_sum_four_units(l, m, z, lam, bound, hweight):
-    """Reference coset row vector: every c != 0 as (unit * c) for the four
-    units, then the four identity-class rows (0, u) added as one term."""
+    """Reference coset row vector for any height weight: every c != 0 as
+    (unit * c) for the four units, coprimality by Moebius inversion over the
+    squarefree divisors g of c (the rows (c, g d), d = 0 included), then the
+    four identity-class rows (0, u) added as one term."""
     acc = np.zeros(2 * l + 1, dtype=complex)
     re, im, norm = _lattice_arrays(bound)
     canon = np.nonzero((re > 0) & (im >= 0))[0]
     for idx in canon:
         nc = int(norm[idx])
         c0 = GaussInt(int(re[idx]), int(im[idx]))
-        for mu_g, gval, gn in _squarefree_divisors(c0):
+        for mu_g, gval, gn in squarefree_divisors(c0):
             count = int(np.searchsorted(norm, (bound - nc) // gn,
                                         side="right"))
             d_arr = np.empty(count + 1, dtype=complex)
@@ -189,18 +221,64 @@ class TestCosetSum:
             assert abs(res.value) < 1e-10
             assert res.value == 0.0
 
+    @pytest.mark.parametrize("s_re", [1.3, 1.8, 2.5])
+    def test_tail_bound_covers_deeper_truncation(self, s_re):
+        # the rows between bounds 100 and 1600 are part of the tail that
+        # tail_bound bounds at 100; observed/bound ratios were 1.3e-5 to
+        # 0.18, the largest at index (0, 0, 0) on the real axis
+        points = (point_group(H3Point(0.31, 0.17, 0.8)),
+                  point_group(H3Point(-0.2, 0.45, 1.3))
+                  * GroupElementSL2C.from_su2(SU2Element(0.6 + 0.3j,
+                                                         -0.2 + 0.5j)))
+        for lkm, s_im in (((0, 0, 0), 0.0), ((2, 1, 0), 7.0),
+                          ((3, -1, 2), 0.0)):
+            index = SpectralIndex.make(*lkm)
+            for g in points:
+                short, deep = (eisenstein_coset_sum(SeriesParams(
+                    index, complex(s_re, s_im),
+                    TruncationConfig(coset_norm_bound=bound)), g)
+                    for bound in (100, 1600))
+                assert abs(short.value - deep.value) <= short.tail_bound
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
+           lam=st.floats(0.4, 2.5),
+           rot=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+               lambda v: sum(c * c for c in v) > 1e-2),
+           lkm=st.sampled_from([(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, -2, 2),
+                                (3, -1, 2), (3, 2, -2)]),
+           gen=st.integers(0, len(GAMMA_GENERATORS) - 1),
+           s_re=st.floats(2.5, 3.5), s_im=st.floats(-10.0, 10.0))
+    def test_gamma_invariance_at_random_points(self, x, y, lam, rot, lkm,
+                                               gen, s_re, s_im):
+        params = SeriesParams(SpectralIndex.make(*lkm), complex(s_re, s_im),
+                              TruncationConfig(coset_norm_bound=200))
+        g = (point_group(H3Point(x, y, lam)) * GroupElementSL2C.from_su2(
+            SU2Element(complex(rot[0], rot[1]), complex(rot[2], rot[3]))))
+        base = eisenstein_coset_sum(params, g)
+        moved = eisenstein_coset_sum(params, GAMMA_GENERATORS[gen] * g)
+        assert abs(moved.value - base.value) \
+            <= moved.tail_bound + base.tail_bound
+
 
 class TestRowSum:
-    """One row per unit class, times the unit sum, against the sum over
-    all four units of every class."""
+    """The engine's row vector against the four-unit reference, which opens
+    up coprimality by a different Moebius inversion (over the divisors of c
+    instead of the common divisor of the row)."""
     POWER_S = 1.8 + 7j
     PSI = TestFunctionPsi(center=-0.5, width=1.0)
     Z, LAM = 0.31 + 0.17j, 0.8
 
-    def hweight(self, weight, s=POWER_S):
-        if weight == "power":
-            return lambda h: h ** (1.0 + s)
-        return lambda h: np.asarray(self.PSI(h), dtype=complex)
+    def psi_row_sum(self, l, m, bound):
+        """The psi-weighted row sum from power-weight row sums by Mellin
+        inversion, psi(h) = (1/2 pi) int H(2 + i tau) h^{2 + i tau} dtau:
+        a trapezoid over |tau| <= 12 (|H| < 1e-14 beyond), exact to about
+        1e-14 relative at these sizes."""
+        taus = np.arange(-12.0, 12.2, 0.4)
+        return sum(self.PSI.mellin(2.0 + 1j * tau)
+                   * _row_sum_vector(l, m, self.Z, self.LAM, bound,
+                                     1.0 + 1j * tau)
+                   for tau in taus) * 0.4 / (2.0 * pi)
 
     @pytest.mark.parametrize(
         "weight, l, m, bound",
@@ -209,8 +287,15 @@ class TestRowSum:
          for l in range(4) for m in range(-l, l + 1)]
         + [pytest.param("power", 3, 2, 1000, id="power-3-2-bound1000")])
     def test_matches_four_unit_sum(self, weight, l, m, bound):
-        hweight = self.hweight(weight)
-        got = _row_sum_vector(l, m, self.Z, self.LAM, bound, hweight)
+        # log-gaussian: the direct route of the incomplete series, which
+        # has no height power to factor, against the engine by inversion
+        if weight == "power":
+            got = _row_sum_vector(l, m, self.Z, self.LAM, bound,
+                                  self.POWER_S)
+            hweight = lambda h: h ** (1.0 + self.POWER_S)
+        else:
+            got = self.psi_row_sum(l, m, bound)
+            hweight = lambda h: np.asarray(self.PSI(h), dtype=complex)
         want = row_sum_four_units(l, m, self.Z, self.LAM, bound, hweight)
         if m % 2:
             # the four unit rows of a class cancel: exactly in the engine,
@@ -223,10 +308,9 @@ class TestRowSum:
     @pytest.mark.parametrize("chunk", [1, 97, 10 ** 7])
     def test_chunk_boundaries(self, chunk, monkeypatch):
         # one row per chunk, blocks cut at odd places, one chunk for all
-        hweight = self.hweight("power")
-        want = _row_sum_vector(2, 0, self.Z, self.LAM, 300, hweight)
+        want = _row_sum_vector(2, 0, self.Z, self.LAM, 300, self.POWER_S)
         monkeypatch.setattr(eisenstein, "ROW_CHUNK", chunk)
-        got = _row_sum_vector(2, 0, self.Z, self.LAM, 300, hweight)
+        got = _row_sum_vector(2, 0, self.Z, self.LAM, 300, self.POWER_S)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -238,17 +322,17 @@ class TestRowSum:
     def test_matches_four_unit_sum_at_random_points(self, x, y, lam, lm,
                                                     s_re, s_im):
         l, m = lm
-        hweight = self.hweight("power", complex(s_re, s_im))
-        got = _row_sum_vector(l, m, complex(x, y), lam, 120, hweight)
-        want = row_sum_four_units(l, m, complex(x, y), lam, 120, hweight)
+        s = complex(s_re, s_im)
+        got = _row_sum_vector(l, m, complex(x, y), lam, 120, s)
+        want = row_sum_four_units(l, m, complex(x, y), lam, 120,
+                                  lambda h: h ** (1.0 + s))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_peak_memory_of_one_call(self):
         # the rows are walked in chunks, never held all at once; a larger
         # chunk would show up in the benchmark's peak RSS
-        hweight = self.hweight("power")
-        args = (3, 2, self.Z, self.LAM, 1000, hweight)
-        _row_sum_vector(*args)  # fills the lattice and divisor caches
+        args = (3, 2, self.Z, self.LAM, 1000, self.POWER_S)
+        _row_sum_vector(*args)  # fills the lattice and Moebius caches
         tracemalloc.start()
         try:
             _row_sum_vector(*args)
@@ -257,24 +341,20 @@ class TestRowSum:
             tracemalloc.stop()
         assert peak <= 4 * 2 ** 20
 
-    def test_block_table_factors_each_c_once(self, monkeypatch):
-        # more canonical c than the 4096 entries the per-c divisor LRU held:
-        # a second table at the bound factors nothing again
-        bound = 6000
-        re, im, _ = _lattice_arrays(bound)
-        n_canon = np.count_nonzero((re > 0) & (im >= 0))
-        assert n_canon > 4096
+    def test_row_sum_factors_nothing(self, monkeypatch):
+        # the Moebius weights come from the norm sieve of the mu table, so
+        # a row sum at a new bound factors no Gaussian integer
         calls = []
-        factor = eisenstein.factor_gauss
-        monkeypatch.setattr(eisenstein, "factor_gauss",
-                            lambda c: calls.append(c) or factor(c))
-        _block_table.cache_clear()
-        first = _block_table(bound)
-        assert len(calls) == n_canon
-        second = _block_table(bound)
-        assert len(calls) == n_canon
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
+        factor = gaussian.factor_gauss
+        for module in (gaussian, lseries):
+            monkeypatch.setattr(module, "factor_gauss",
+                                lambda c: calls.append(c) or factor(c))
+        lseries._canonical_mu_table.cache_clear()
+        got = _row_sum_vector(2, 2, self.Z, self.LAM, 301, self.POWER_S)
+        assert calls == []
+        want = row_sum_four_units(2, 2, self.Z, self.LAM, 301,
+                                  lambda h: h ** (1.0 + self.POWER_S))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTwoRouteAgreement:
@@ -449,6 +529,96 @@ class TestPsiAndMellin:
             TestFunctionPsi(width=0.0)
         with pytest.raises(ValueError):
             TestFunctionPsi(kind="compact-bump", support=(3.0, 2.0))
+
+
+@dataclass(frozen=True)
+class IncompleteSeriesResult:
+    direct_value: complex
+    contour_value: complex
+    direct_tail: float
+    contour_error: float
+
+
+def incomplete_series(index: SpectralIndex, psi: TestFunctionPsi,
+                      g: GroupElementSL2C,
+                      truncation: TruncationConfig | None = None,
+                      sigma0: float = 3.0,
+                      routes: str = "both") -> IncompleteSeriesResult:
+    """The series smoothed over the height axis by psi, computed twice:
+    directly (only rows whose height lands above the support floor of psi
+    contribute, a finite set, summed by row_sum_four_units) and as the
+    Mellin contour integral of H(sigma0 + i tau) against the expansion
+    route at s = sigma0 - 1 + i tau.
+
+    routes: "both" (default), "direct", or "contour"; a skipped route
+    reports value None.
+    """
+    if routes not in ("both", "direct", "contour"):
+        raise ValueError(f"unknown routes selector {routes!r}")
+    trunc = truncation or TruncationConfig()
+    if index.two_l % 2 != 0:
+        raise ValueError("series indices must be integers")
+    l = index.two_l // 2
+    a_idx = index.two_k // 2
+    b_idx = index.two_m // 2
+    co = iwasawa_decompose(g)
+    z, lam = co.z, co.height
+    kinv = co.k.inv()
+
+    # direct route
+    direct, direct_tail = None, 0.0
+    if routes in ("both", "direct"):
+        eps = 0.0 if psi.kind == "compact-bump" else 1e-20
+        h_lo, _ = psi.support_interval(max(eps, 1e-20))
+        mu = _height_form_min(z, lam)
+        bound = int(lam / (h_lo * mu)) + 1
+        if bound > MAX_NORM_BOUND:
+            raise ArithmeticError(
+                f"support floor {h_lo:.3e} needs {bound} rows; lower the "
+                "decay cutoff or move the test function up")
+        vec = row_sum_four_units(l, b_idx, z, lam, bound,
+                                 lambda h: np.asarray(psi(h), dtype=complex))
+        direct = _combine_rotation(l, a_idx, kinv,
+                                   lambda rows: [vec[a + l] for a in rows])
+        direct_tail = eps * pi ** 2 * float(bound) ** 2
+    if routes == "direct":
+        return IncompleteSeriesResult(direct, None, float(direct_tail), 0.0)
+
+    # contour route
+    h_peak = abs(psi.mellin(complex(sigma0, 0.0)))
+    t_cut = 4.0
+    while abs(psi.mellin(complex(sigma0, t_cut))) \
+            > 1e-12 * max(h_peak, 1e-300):
+        t_cut *= 1.4
+        if t_cut > 150.0:
+            raise ArithmeticError(
+                "Mellin transform tail does not fall below 1e-12 by "
+                f"tau = 150 (still {abs(psi.mellin(complex(sigma0, 150.0))):.2e})")
+
+    def contour_total(order: int) -> complex:
+        x_gl, w_gl = np.polynomial.legendre.leggauss(order)
+        total = 0.0 + 0.0j
+        n_panels = int(t_cut) + 1
+        width = t_cut / n_panels
+        for half in (1.0, -1.0):
+            for ip in range(n_panels):
+                taus = half * (width * ip + width * (x_gl + 1.0) / 2.0)
+                for tau, wq in zip(taus, w_gl):
+                    params = SeriesParams(index, complex(sigma0 - 1.0, tau),
+                                          trunc)
+                    e_val = _combine_rotation(
+                        l, a_idx, kinv,
+                        lambda rows: fourier_evaluator(
+                            params, rows, lam)(z, lam))
+                    total += (wq * width / 2.0
+                              * psi.mellin(complex(sigma0, tau)) * e_val)
+        return total / (2.0 * pi)
+
+    c_lo = contour_total(6)
+    c_hi = contour_total(10)
+    tail_term = abs(psi.mellin(complex(sigma0, t_cut))) * (abs(c_hi) + 1.0)
+    return IncompleteSeriesResult(direct, c_hi, float(direct_tail),
+                                  float(abs(c_hi - c_lo) + tail_term))
 
 
 class TestIncompleteSeries:

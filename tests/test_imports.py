@@ -19,12 +19,10 @@ MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 # public names whose only callers are the tests today; each should move into
 # the tests or gain a caller, and then leave this list
 TEST_ONLY = {
-    "eisenstein": {"GAMMA_GENERATORS", "eisenstein_fourier",
-                   "incomplete_series"},
     "gaussian": {"complete_to_sl2", "residues_mod"},
     "h3": {"GROUP_IDENTITY", "hyperbolic_distance", "in_fundamental_domain",
            "mobius_act"},
-    "lseries": {"moebius_gauss", "zeta_K"},
+    "lseries": {"zeta_K"},
     "microlocal": {"band_coefficient", "fiber_coefficients"},
     "specfun": {"bessel_k_complex", "bessel_k_half", "kk_mellin_integral"},
     "su2": {"wigner_D_euler"},

@@ -7,23 +7,23 @@ import numpy as np
 import pytest
 
 from picard_eisenstein import lseries
-from picard_eisenstein.eisenstein import INDEX_GAMMA_INF
+from picard_eisenstein.eisenstein import INDEX_GAMMA_INF, _norm_weight_table
 from picard_eisenstein.gaussian import (
-    GaussInt, ONE, UNITS, divisors, enumerate_shells, gauss_gcd, is_coprime,
-    residues_mod,
+    GaussInt, ONE, UNITS, divisors, enumerate_shells, factor_gauss, gauss_gcd,
+    is_coprime, residues_mod,
 )
 from picard_eisenstein.lseries import (
     MAX_NORM_BOUND, HeckeCharacter, LSeriesParams, SyntheticCuspCoefficients,
     _lattice_arrays, d_sum_closed, d_sum_direct, hecke_character, l_function,
     l_function_continued, l_function_values, lfc_identity_check,
-    moebius_gauss, ramanujan_identity_check, sigma_twisted, zeta_K,
+    ramanujan_identity_check, sigma_twisted, zeta_K,
     zeta_K_continued, zeta_K_log_derivative,
 )
 from picard_eisenstein.memo import ArrayMemo
 from picard_eisenstein.microlocal import (CuspFormSpec, mock_l_provider,
                                           scan_t)
 from picard_eisenstein.specfun import PoleError
-from picard_eisenstein.su2 import SpectralIndex
+from picard_eisenstein.su2 import SU2Element, SpectralIndex, wigner_D_su2
 
 RNG = np.random.default_rng(771230)
 
@@ -337,6 +337,15 @@ class TestTracerHooks:
             assert hasattr(getattr(lseries, name), "cache_info")
 
 
+def moebius_gauss(w: GaussInt) -> int:
+    """The Moebius function of the ideal (w): 0 unless squarefree, else
+    (-1)^(number of distinct prime ideals)."""
+    _, factors = factor_gauss(w)
+    if any(e > 1 for e in factors.values()):
+        return 0
+    return -1 if len(factors) % 2 else 1
+
+
 class TestMoebius:
     def test_known_values(self):
         assert moebius_gauss(ONE) == 1
@@ -352,6 +361,31 @@ class TestMoebius:
             if not gauss_gcd(a, b).is_unit():
                 continue
             assert moebius_gauss(a * b) == moebius_gauss(a) * moebius_gauss(b)
+
+    @pytest.mark.parametrize("m", [-2, 0, 2])
+    def test_norm_weight_table_against_bruteforce(self, m):
+        # W[n] = sum over canonical g, |g|^2 <= bound // n, of
+        # mu(g) |g|^{-2(1+s)} conj(D^l_{mm}(diag(u, conj u))), u = g/|g|,
+        # with mu from factoring and the phase from the Wigner matrix of
+        # every l <= 3 that has the index m
+        bound, s = 300, 1.8 + 7j
+        terms = []
+        for a in range(1, isqrt(bound) + 1):
+            for b in range(0, isqrt(bound - a * a) + 1):
+                g = GaussInt(a, b)
+                mu = moebius_gauss(g)
+                if mu:
+                    terms.append((g.norm(), mu * g.norm() ** -(1.0 + s),
+                                  complex(a, b) / abs(complex(a, b))))
+        table = _norm_weight_table(m, s, bound)
+        for l in range(abs(m), 4):
+            phases = [complex(wigner_D_su2(
+                l, m, m, SU2Element(u, 0.0))).conjugate()
+                for _, _, u in terms]
+            for n in range(1, bound + 1):
+                want = sum(w * phase for (g_norm, w, _), phase
+                           in zip(terms, phases) if g_norm <= bound // n)
+                assert abs(table[n] - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def sigma_by_divisors(w: GaussInt, p: int, nu: complex):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from picard_eisenstein import microlocal
-from picard_eisenstein.eisenstein import GAMMA_GENERATORS, TestFunctionPsi
+from picard_eisenstein.eisenstein import TestFunctionPsi
 from picard_eisenstein.h3 import (
     GroupElementSL2C, H3Point, frame_transport, mobius_act,
 )
@@ -27,6 +27,7 @@ from picard_eisenstein.specfun import PoleError, log_gamma
 from picard_eisenstein.su2 import (
     SpectralIndex, haar_grid, random_su2, xi_weight,
 )
+from test_eisenstein import GAMMA_GENERATORS
 
 RNG = np.random.default_rng(771002)
 
