@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from math import exp, pi, sqrt
+from math import exp, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -77,6 +77,13 @@ def build_config(args) -> RunConfig:
         if val is not None:
             merged[field] = val
     return RunConfig(**merged)
+
+
+def finite(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    if not isfinite(val := float(text)):
+        raise ValueError(text)
+    return val
 
 
 def _g17(x: float) -> str:
@@ -378,9 +385,9 @@ def cmd_eval(args) -> int:
     if args.route in ("coset", "both") and not s.real > 1.0:
         raise ValueError("the coset route requires Re(s) > 1")
     try:
-        x, y, lam = (float(v) for v in args.point.split(","))
+        x, y, lam = (finite(v) for v in args.point.split(","))
     except Exception as exc:
-        raise ValueError(f"point must be 'x,y,lam': {exc}") from None
+        raise ValueError(f"point must be finite 'x,y,lam': {exc}") from None
     if not lam > 0:
         raise ValueError("point height must be positive")
     tr = TruncationConfig(coset_norm_bound=cfg.coset_norm_bound,
@@ -470,8 +477,8 @@ def make_parser() -> argparse.ArgumentParser:
     pe.add_argument("--l", type=int, default=0)
     pe.add_argument("--k", type=int, default=0)
     pe.add_argument("--m", type=int, default=0)
-    pe.add_argument("--s-re", dest="s_re", type=float, default=2.0)
-    pe.add_argument("--s-im", dest="s_im", type=float, default=0.0)
+    pe.add_argument("--s-re", dest="s_re", type=finite, default=2.0)
+    pe.add_argument("--s-im", dest="s_im", type=finite, default=0.0)
     pe.add_argument("--point", default="0,0,1")
     pe.add_argument("--route", choices=("coset", "fourier", "both"),
                     default="both")
@@ -484,8 +491,8 @@ def make_parser() -> argparse.ArgumentParser:
                     help="incomplete: the incomplete-series pairing; cusp: "
                     "the cusp pairing with mock_l_provider, which sets "
                     "every cusp-form L-value to 1")
-    ps.add_argument("--t-min", dest="t_min", type=float, default=50.0)
-    ps.add_argument("--t-max", dest="t_max", type=float, default=200.0)
+    ps.add_argument("--t-min", dest="t_min", type=finite, default=50.0)
+    ps.add_argument("--t-max", dest="t_max", type=finite, default=200.0)
     ps.add_argument("--steps", type=int, default=4)
     # pairing index (default (0, 0, 0)) and contour switch: --task
     # incomplete only

@@ -328,13 +328,13 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
     """Vectorized evaluator of the Fourier-Bessel expansion of the series at
     the indices (l, a, m), a in rows, at heights lam >= lam_min.
 
-    Returns evaluate(zs, lams): zs (complex) and lams broadcast to one
-    shape, and the result has shape (len(rows),) + that shape. Terms decay
-    like exp(-2 pi |2w| lam), so a frequency enters only while
-    2 pi |2w| lam <= x_cut at the lowest height of the call; coefficients
-    are computed once, for the frequencies inside the cut at lam_min. The
-    values are separable in (z, lam): each call works on the distinct z
-    and the distinct heights, and evaluates the Bessel factor of each
+    Returns evaluate(zs, lams): the expansion on the outer product of the
+    points zs (complex) and the heights lams, of shape (len(rows),) +
+    shape(zs) + shape(lams). Terms decay like exp(-2 pi |2w| lam), so a
+    frequency enters only while 2 pi |2w| lam <= x_cut at the lowest height
+    of the call; coefficients are computed once, for the frequencies inside
+    the cut at lam_min. The values are separable in (z, lam): the phases
+    are formed on the points and the Bessel factors on the heights, each
     distinct order once, shared across the rows. The series vanishes
     identically for odd m.
     """
@@ -342,7 +342,7 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
     l, _, m = params.lkm()
     if m % 2:  # the series vanishes identically for odd m
         return lambda zs, lams: np.zeros(
-            (len(rows),) + np.broadcast(zs, lams).shape, dtype=complex)
+            (len(rows),) + np.shape(zs) + np.shape(lams), dtype=complex)
     trunc = params.truncation
     x_cut = _frequency_cut(s)
     norm_cut = min(trunc.lattice_norm_bound,
@@ -362,20 +362,19 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
                  _prefactor(l, a, m, s)) for a in rows]
 
     def evaluate(zs, lams) -> np.ndarray:
-        za, la = np.broadcast_arrays(np.asarray(zs, dtype=complex),
-                                     np.asarray(lams, dtype=float))
-        lam_u, lam_inv = np.unique(la.ravel(), return_inverse=True)
-        z_u, z_inv = np.unique(za.ravel(), return_inverse=True)
-        if lam_u[0] < lam_min:
-            raise ValueError(f"height {lam_u[0]} below the evaluator floor "
+        za = np.asarray(zs, dtype=complex)
+        la = np.asarray(lams, dtype=float)
+        lam_lo = la.min()
+        if lam_lo < lam_min:
+            raise ValueError(f"height {lam_lo} below the evaluator floor "
                              f"{lam_min}")
-        keep = 2.0 * pi * np.sqrt(norm) * lam_u[0] <= x_cut
+        keep = 2.0 * pi * np.sqrt(norm) * lam_lo <= x_cut
         roots, n_inv = np.unique(np.sqrt(norm[keep]), return_inverse=True)
-        bessel_arg = np.outer(2.0 * pi * roots, lam_u)
-        power_arg = np.outer(pi * roots, lam_u)
-        phase = np.exp(-4j * pi * np.real(np.outer(z_u, wc[keep])))
+        bessel_arg = np.outer(2.0 * pi * roots, la)
+        power_arg = np.outer(pi * roots, la)
+        phase = np.exp(-4j * pi * np.real(np.outer(za, wc[keep])))
         kvals = {}
-        out = np.empty((len(rows), len(z_u), len(lam_u)), dtype=complex)
+        out = np.empty((len(rows), za.size, la.size), dtype=complex)
         for i, (consts, udata, coef, pref) in enumerate(row_data):
             rad = np.zeros(bessel_arg.shape, dtype=complex)
             for u, (xi, ig, order) in enumerate(udata):
@@ -384,13 +383,13 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
                         order, bessel_arg.ravel(),
                         BESSEL_TOL).reshape(bessel_arg.shape)
                 rad += (xi * ig) * power_arg ** (1 + l - u) * kvals[order]
-            const = sum(ct.coefficient * lam_u ** ct.exponent
+            const = sum(ct.coefficient * la.ravel() ** ct.exponent
                         for ct in consts)
             # einsum, not a BLAS product: at these sizes BLAS worker threads
             # spin between calls and cost more CPU than they save
             out[i] = const + pref * np.einsum(
                 "zj,jl->zl", phase * coef[keep], rad[n_inv])
-        return out[:, z_inv, lam_inv].reshape((len(rows),) + la.shape)
+        return out.reshape((len(rows),) + za.shape + la.shape)
     return evaluate
 
 

@@ -155,6 +155,7 @@ def _as_vectorized(f, vectorized: bool):
     if vectorized:
         return f
     def fv(xs, ys, lams):
+        xs, ys, lams = np.broadcast_arrays(xs, ys, lams)
         out = np.empty(xs.shape, dtype=complex)
         flat = out.ravel()
         for i, (x, y, lam) in enumerate(
@@ -166,29 +167,28 @@ def _as_vectorized(f, vectorized: bool):
 
 def _eval_once(fv, domain, n_xy: int, n_u: int, tol: float) -> complex:
     """One tensor pass: Gauss-Legendre in (x, y), unit log-height panels in
-    lam = e^u swept outward until their contribution dies off."""
+    lam = e^u swept outward until their contribution dies off. fv gets the
+    grid axes of each panel, shaped as integrate_dV describes."""
     nodes, wts = _gl_nodes(n_xy)
     unodes, uwts = _gl_nodes(n_u)
     if domain == "fundamental":
         xs0, ys0 = np.meshgrid(nodes - 0.5, nodes - 0.5, indexing="ij")
         u_floor = 0.5 * np.log(np.maximum(1.0 - xs0 ** 2 - ys0 ** 2, 1e-300))
-        directions = [(u_floor.ravel(), +1, inf)]
+        directions = [(u_floor.reshape(-1, 1), +1, inf)]
     elif domain == "strip":
         xs0, ys0 = np.meshgrid(nodes, nodes, indexing="ij")
-        zero = np.zeros(n_xy * n_xy)
-        directions = [(zero, +1, inf), (zero, -1, inf)]
+        directions = [(0.0, +1, inf), (0.0, -1, inf)]
     elif isinstance(domain, tuple) and len(domain) == 3 and domain[0] == "box":
         _, lam1, lam2 = domain
         if not (0 < lam1 < lam2):
             raise ValueError("box heights must satisfy 0 < lam1 < lam2")
         xs0, ys0 = np.meshgrid(nodes, nodes, indexing="ij")
-        base = np.full(n_xy * n_xy, log(lam1))
-        directions = [(base, +1, log(lam2) - log(lam1))]
+        directions = [(log(lam1), +1, log(lam2) - log(lam1))]
     else:
         raise ValueError(f"unknown domain {domain!r}")
 
     xy_w = np.outer(wts, wts).ravel()
-    xs, ys = xs0.ravel(), ys0.ravel()
+    xs, ys = xs0.reshape(-1, 1), ys0.reshape(-1, 1)
     total = 0.0 + 0.0j
     stop_eps = max(tol * 1e-2, 1e-15)
     for base, sign, extent in directions:
@@ -198,13 +198,12 @@ def _eval_once(fv, domain, n_xy: int, n_u: int, tol: float) -> complex:
         while offset < extent:
             width = min(1.0, extent - offset)
             if sign > 0:
-                u = base[:, None] + offset + width * unodes[None, :]
+                u = base + offset + width * unodes[None, :]
             else:
-                u = base[:, None] - offset - width * unodes[None, :]
+                u = base - offset - width * unodes[None, :]
             with np.errstate(over="ignore", invalid="ignore"):
                 lam = np.exp(u)
-                vals = fv(np.broadcast_to(xs[:, None], u.shape),
-                          np.broadcast_to(ys[:, None], u.shape), lam)
+                vals = fv(xs, ys, lam)
                 contrib = complex(
                     (xy_w[:, None] * vals * np.exp(-2.0 * u)
                      * (width * uwts)[None, :]).sum())
@@ -242,7 +241,11 @@ def integrate_dV(f, domain, tol: float = 1e-8,
     The height axis is flattened by lam = e^u; both axes use fixed-order
     Gauss-Legendre with the order raised until two resolutions agree within
     tol. Raises if the refinement does not converge or the height panels
-    never decay.
+    never decay. With vectorized=True, f gets the axes of a grid of P
+    points and Q heights: xs and ys of shape (P, 1), and lams of shape
+    (1, Q) on boxes and the strip, or (P, Q) on the fundamental domain,
+    whose floor moves with the point; f returns values that broadcast to
+    (P, Q).
     """
     fv = _as_vectorized(f, vectorized)
     n_xy, n_u = 16, 16

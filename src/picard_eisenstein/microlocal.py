@@ -160,10 +160,10 @@ _REDUCTIONS = ArrayMemo(REDUCTION_MEMO_BYTES)
 
 
 class Reduction(NamedTuple):
-    """Flattened reduced coordinates of a point array, and the frame
-    rotation K[alpha, beta] from each input point to its reduced
-    representative; alpha and beta are None when no point was inverted,
-    i.e. when every rotation is the identity."""
+    """Reduced coordinates of a point array, and the frame rotation
+    K[alpha, beta] from each input point to its reduced representative.
+    If no point was inverted, alpha and beta are None (identity) and x, y,
+    lam keep the input shapes; otherwise all five are flat over the grid."""
     x: np.ndarray
     y: np.ndarray
     lam: np.ndarray
@@ -174,20 +174,21 @@ class Reduction(NamedTuple):
 def _reduce_arrays(xs, ys, lams, max_steps: int = 500) -> Reduction:
     """Vectorized reduction carrying the rotation cocycle (translations
     transport trivially; each inversion contributes K[conj(z)/r, -lam/r],
-    r = |z|^2 + lam^2 at the current point, composed on the left).
+    r = |z|^2 + lam^2 at the current point, composed on the left) on
+    inputs that broadcast together, such as grid axes.
 
     A call in which some point needs an inversion is memoized, because the
     quadrature lays the same grids again for every function and exponent:
-    the key is the shape and a blake2b-256 digest of the input bytes of
-    x, y and lam, the stored arrays are read-only, and the memo keeps at
-    most REDUCTION_MEMO_BYTES of them (least recently used out first).
-    The loop is deterministic in its input bytes, so a hit returns exactly
-    the arrays a fresh reduction would give. The direct height-Mellin route
-    reduces four image-box grids (about 2 MB); a sweep of the image box to
-    its end would lay many more, and the cap keeps their memory bounded.
-    Calls in which no point is inverted (the band grids) are returned at
-    once without hashing or storing."""
-    x0, y0, lam = (np.array(a, dtype=float).ravel() for a in (xs, ys, lams))
+    the key is the input shapes and a blake2b-256 digest of the input bytes
+    (the axes, not the broadcast grid), the stored arrays are read-only,
+    and the memo keeps at most REDUCTION_MEMO_BYTES of them (least recently
+    used out first). The loop is deterministic in its input, so a hit
+    returns exactly the arrays a fresh reduction would give. The direct
+    height-Mellin route reduces four image-box grids (about 2 MB); a sweep
+    of the image box to its end would lay many more, and the cap keeps
+    their memory bounded. Calls in which no point is inverted (the band
+    grids) are returned at once without hashing or storing."""
+    x0, y0, lam = (np.asarray(a, dtype=float) for a in (xs, ys, lams))
     x, y = x0 - np.round(x0), y0 - np.round(y0)
     if not (x * x + y * y + lam * lam < 1.0 - 1e-15).any():
         return Reduction(x, y, lam, None, None)
@@ -198,6 +199,7 @@ def _reduce_arrays(xs, ys, lams, max_steps: int = 500) -> Reduction:
     hit = _REDUCTIONS.get(key)
     if hit is not None:
         return hit
+    x, y, lam = (a.flatten() for a in np.broadcast_arrays(x, y, lam))
     ta = np.ones(x.shape, dtype=complex)
     tb = np.zeros(x.shape, dtype=complex)
     for _ in range(max_steps):
@@ -277,12 +279,14 @@ class InvariantFiberFunction(FiberFunction):
     band: tuple = (0.0, 0.0)
 
     def strip_values(self, xs, ys, lams) -> np.ndarray:
-        """Values at rotation = identity over coordinate arrays (the
-        vectorized form of evaluate(p) used by the strip quadrature)."""
-        shape = np.shape(lams)
+        """Values at rotation = identity on coordinate arrays that broadcast
+        together (the vectorized form of evaluate(p) used by the strip
+        quadrature). In the band, (P, 1), (P, 1), (1, Q) axes give cosines
+        on the P points, psi on the Q heights, and one outer product."""
+        shape = np.broadcast_shapes(np.shape(xs), np.shape(ys), np.shape(lams))
         x, y, lam, ta, tb = _reduce_arrays(xs, ys, lams)
         w = np.asarray(self.psi(lam), dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
         for sd in self.seeds:
             if ta is None and sd.two_m != sd.two_k:
                 continue  # D^{l/2}_{m,k}(identity) = delta_{mk}
@@ -364,12 +368,13 @@ def mellin_direct_result(f: FiberFunction, s: complex,
     through the vectorized reduction; for a plain mode sum it is the mode
     coefficients at k = m directly.
 
-    The image box (1e-12, 1) gets the same Gauss-Legendre grids for every
-    f and s (four of them when two quiet panels end the sweep), so their
-    reductions come from the memo of _reduce_arrays: keyed on a digest of
-    the grid bytes, capped at REDUCTION_MEMO_BYTES, and exact, since the
-    reduction depends on the points alone. Band grids need no inversion;
-    there the rotation is the identity and no Wigner factor is formed."""
+    The grid reaches the integrand as axes, so lam^{1+s} is formed once per
+    height. The image box (1e-12, 1) gets the same Gauss-Legendre grids
+    for every f and s (four of them when two quiet panels end the sweep),
+    so their reductions come from the memo of _reduce_arrays: keyed on a
+    digest of the grid axes, capped at REDUCTION_MEMO_BYTES, and exact.
+    Band grids need no inversion: no Wigner factor is formed, and the
+    values are an outer product of point and height factors."""
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("the strip transform needs Re(s) > 1")
@@ -429,9 +434,9 @@ def mellin_eisenstein_result(
         psi = f.psi
 
         def gv(xs, ys, lams, _ev=series, _f1=f1, _f2=f2):
-            xs, ys = np.asarray(xs), np.asarray(ys)
-            return (np.cos(2.0 * pi * (_f1 * xs + _f2 * ys))
-                    * np.asarray(psi(lams)) * _ev(xs + 1j * ys, lams)[0])
+            # a box grid: (P, 1) points against a (1, Q) row of heights
+            return (np.cos(2.0 * pi * (_f1 * xs + _f2 * ys)) * psi(lams)
+                    * _ev(np.ravel(xs + 1j * ys), np.ravel(lams))[0])
 
         coefmag = 4.0 * abs(sd.amplitude) * sqrt((sd.l + 1) / TWO_PI_SQ)
         scale = coefmag * abs(complex(psi.mellin(1.0 - s.real))) * 8.0 + 1e-12

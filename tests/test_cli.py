@@ -73,6 +73,24 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--point", "1,2")
         assert code == 2
 
+    @pytest.mark.parametrize("point", ["nan,0,1", "inf,0,1", "0,-inf,1",
+                                       "0,0,inf", "0,0,nan"])
+    def test_non_finite_point_is_usage_error(self, capsys, point):
+        code, out, err = run(capsys, "eval", "--route", "fourier",
+                             "--point", point)
+        assert (code, out) == (2, "")
+        assert "point must be finite" in err
+
+    @pytest.mark.parametrize("flag", ["--s-re", "--s-im"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_s_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--route", "fourier", f"{flag}={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: invalid finite value: '{value}'" in err
+
 
 class TestScan:
     ARGS = ("scan", "--task", "incomplete", "--t-min", "10", "--t-max", "40",
@@ -104,6 +122,16 @@ class TestScan:
         code, _, _ = run(capsys, "scan", "--t-min", "40", "--t-max", "10",
                          "--steps", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--t-min", "--t-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_t_is_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--task", "cusp", f"{flag}={value}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: invalid finite value: '{value}'" in err
 
     @pytest.mark.parametrize("flag", [["--l", "0"], ["--a", "2"],
                                       ["--b", "0"], ["--no-contour"]])

@@ -305,12 +305,33 @@ class TestRowSum:
         else:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @staticmethod
+    def chunk_cuts(bound, chunk):
+        """Position in its block (0: the block's d' = 0 row) of the first
+        row of every chunk after the first, for the block layout of
+        _row_sum_vector: one block per canonical c', d' = 0 first."""
+        re, im, norm = _lattice_arrays(bound)
+        c_norm = norm[(re > 0) & (im >= 0)]
+        count = np.searchsorted(np.append(0, norm), bound - c_norm,
+                                side="right")
+        ends = np.cumsum(count)
+        cuts = np.arange(chunk, ends[-1], chunk)
+        block = np.searchsorted(ends, cuts, side="right")
+        return cuts - (ends - count)[block]
+
     @pytest.mark.parametrize("chunk", [1, 97, 10 ** 7])
     def test_chunk_boundaries(self, chunk, monkeypatch):
-        # one row per chunk, blocks cut at odd places, one chunk for all
-        want = _row_sum_vector(2, 0, self.Z, self.LAM, 300, self.POWER_S)
+        # one row per chunk, blocks cut at odd places, one chunk for all;
+        # bound 40 has 32 blocks of 1 to 121 rows (1,956 rows in all)
+        bound = 40
+        pos = self.chunk_cuts(bound, chunk)
+        if chunk == 1:
+            # cuts at a block start, right after a d' = 0 row, and deeper
+            # inside a block
+            assert {0, 1} <= set(pos) and pos.max() >= 2
+        want = _row_sum_vector(2, 0, self.Z, self.LAM, bound, self.POWER_S)
         monkeypatch.setattr(eisenstein, "ROW_CHUNK", chunk)
-        got = _row_sum_vector(2, 0, self.Z, self.LAM, 300, self.POWER_S)
+        got = _row_sum_vector(2, 0, self.Z, self.LAM, bound, self.POWER_S)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -475,6 +496,32 @@ class TestFourierExpansion:
         for par, val in zip(params, base):
             wide = eisenstein_fourier(par, p)
             assert abs(val - wide) <= 1e-13 * abs(wide)
+
+    @pytest.mark.parametrize("l", range(4))
+    def test_axes_match_one_point_calls(self, l):
+        # a z axis against a height axis gives the series on their outer
+        # product; each entry is the one-point value at that point, for
+        # every row a, so every index (l, a, m) is covered
+        rng = np.random.default_rng(3140 + l)
+        zs = rng.uniform(-0.9, 0.9, 3) + 1j * rng.uniform(-0.9, 0.9, 3)
+        lams = rng.uniform(0.7, 1.6, 3)
+        rows = list(range(-l, l + 1))
+        for m in range(-l, l + 1):
+            params = SeriesParams(SpectralIndex.make(l, 0, m), 1.7 + 3j)
+            ev = fourier_evaluator(params, rows, lams.min())
+            grid = ev(zs, lams)
+            assert grid.shape == (2 * l + 1, 3, 3)
+            assert ev(zs[:, None], lams[None, :]).shape == \
+                (2 * l + 1, 3, 1, 1, 3)
+            if m % 2 == 0:  # odd m: the series is 0 at every height
+                with pytest.raises(ValueError, match="evaluator floor"):
+                    ev(zs, np.append(lams, 0.99 * lams.min()))
+            for i, z in enumerate(zs):
+                for j, lam in enumerate(lams):
+                    one = fourier_evaluator(params, rows, lam)(z, lam)
+                    assert one.shape == (2 * l + 1,)
+                    assert np.max(np.abs(grid[:, i, j] - one)) \
+                        <= 1e-12 * np.max(np.abs(one))
 
 
 class TestPsiAndMellin:

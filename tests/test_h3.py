@@ -2,7 +2,9 @@ from math import exp, inf, log, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from picard_eisenstein import h3
 from picard_eisenstein.h3 import (
     GROUP_IDENTITY, GroupElementSL2C, H3Point, IwasawaCoords, QuadResult,
     frame_transport, hyperbolic_distance, in_fundamental_domain,
@@ -191,6 +193,72 @@ class TestIntegrateDV:
             integrate_dV(lambda p: 1.0, "nowhere")
         with pytest.raises(ValueError):
             integrate_dV(lambda p: 1.0, ("box", 2.0, 1.0))
+
+
+def axis_integrand(shapes):
+    """A smooth integrand decaying at both ends of the height axis, built
+    from +, * and / only (correctly rounded, so every evaluation order of an
+    entry gives the same bits), that records the shapes it is given."""
+    def f(xs, ys, lams):
+        shapes.append((np.shape(xs), np.shape(ys), np.shape(lams)))
+        l2 = lams * lams
+        return (1.0 + xs * ys + 0.5j * xs) * (l2 * l2) / (
+            (1.0 + l2) * (1.0 + l2) * (1.0 + l2) * (1.0 + l2))
+    return f
+
+
+def on_full_grid(f):
+    return lambda xs, ys, lams: f(*np.broadcast_arrays(xs, ys, lams))
+
+
+class TestAxisContract:
+    """integrate_dV passes the (x, y) points as (P, 1) columns and, where
+    the heights do not depend on the point, the heights as a (1, Q) row."""
+
+    def check(self, domain, heights_per_point=False):
+        shapes = []
+        axis = integrate_dV(axis_integrand(shapes), domain, vectorized=True)
+        full = integrate_dV(on_full_grid(axis_integrand([])), domain,
+                            vectorized=True)
+        assert axis == full
+        for xs, ys, lams in shapes:
+            assert xs == ys == (xs[0], 1)
+            assert lams == ((xs[0] if heights_per_point else 1), lams[1])
+
+    def test_strip(self):
+        self.check("strip")
+
+    def test_fundamental_domain_heights_follow_the_floor(self):
+        self.check("fundamental", heights_per_point=True)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(lam1=st.floats(0.05, 5.0),
+           ratio=st.one_of(st.floats(1.01, 50.0), st.just(inf)))
+    def test_box(self, lam1, ratio):
+        self.check(("box", lam1, lam1 * ratio))
+
+    @pytest.mark.parametrize("domain", ["strip", "fundamental",
+                                        ("box", 0.3, 2.0), ("box", 1.0, inf)])
+    def test_pointwise_path_gives_the_same_values(self, domain):
+        vec = axis_integrand([])
+
+        def pointwise(p):
+            return complex(vec(np.float64(p.x), np.float64(p.y),
+                               np.float64(p.lam)))
+        assert integrate_dV(pointwise, domain) == \
+            integrate_dV(vec, domain, vectorized=True)
+
+    def test_pointwise_path_broadcasts_the_axes(self):
+        seen = []
+
+        def f(p):
+            seen.append(p)
+            return p.x + p.lam
+        fv = h3._as_vectorized(f, False)
+        xs, ys = np.array([[0.1], [0.2]]), np.array([[0.3], [0.4]])
+        vals = fv(xs, ys, np.array([[1.0, 2.0, 3.0]]))
+        assert vals.shape == (2, 3) and len(seen) == 6
+        assert vals[1, 2] == 0.2 + 3.0
 
 
 class TestTypes:

@@ -253,6 +253,52 @@ class TestInvariantFunction:
         assert np.array_equal(fast, slow)
         assert np.abs(fast).max() > 0.0
 
+    @pytest.mark.parametrize("grid", ["band", "image"])
+    def test_axes_equal_full_grid_bitwise(self, grid, monkeypatch):
+        # the quadrature passes (P, 1), (P, 1), (1, Q) axes; the values are
+        # those of the broadcast grid, bit for bit, and in the band no
+        # reduction is run on the full grid
+        monkeypatch.setattr(microlocal, "_REDUCTIONS",
+                            ArrayMemo(microlocal.REDUCTION_MEMO_BYTES))
+        f = invariant_fiber_function(
+            [SeedMode(0, 0, 0, 1.0, (0, 0)), SeedMode(2, 2, 0, 0.7, (1, 0)),
+             SeedMode(2, 0, 0, 0.5, (1, 1)), SeedMode(4, 4, 4, 0.6j, (0, 2)),
+             SeedMode(4, -2, 4, 0.3, (0, 0))], BAND_PSI)
+        rng = np.random.default_rng(6021)
+        xs, ys = rng.uniform(-0.5, 0.5, (2, 40, 1))
+        lo, hi = (log(f.band[0]), log(f.band[1])) if grid == "band" \
+            else (log(1e-3), 0.0)
+        lams = np.exp(rng.uniform(lo, hi, (1, 24)))
+        full = np.broadcast_arrays(xs, ys, lams)
+        red = _reduce_arrays(xs, ys, lams)
+        assert (red.alpha is None) == (grid == "band")
+        if grid == "band":
+            assert red.x.shape == (40, 1) and red.lam.shape == (1, 24)
+        got = f.strip_values(xs, ys, lams)
+        want = f.strip_values(*full)
+        assert got.shape == (40, 24)
+        assert np.array_equal(got, want)
+        assert np.abs(got).max() > 0.0
+
+    def test_axis_keyed_memo_hit_equals_cold_reduction(self, monkeypatch):
+        memo = ArrayMemo(microlocal.REDUCTION_MEMO_BYTES)
+        monkeypatch.setattr(microlocal, "_REDUCTIONS", memo)
+        rng = np.random.default_rng(6022)
+        xs, ys = rng.uniform(-0.5, 0.5, (2, 30, 1))
+        lams = rng.uniform(1e-4, 0.9, (1, 20))
+        first = _reduce_arrays(xs, ys, lams)
+        hit = _reduce_arrays(xs.copy(), ys.copy(), lams.copy())
+        assert len(memo) == 1 and hit is first
+        # the key holds the axes: the same points as full arrays are a
+        # different call, reduced cold
+        full = np.broadcast_arrays(xs, ys, lams)
+        monkeypatch.setattr(microlocal, "_REDUCTIONS",
+                            ArrayMemo(microlocal.REDUCTION_MEMO_BYTES))
+        cold = _reduce_arrays(*(a.copy() for a in full))
+        assert cold is not hit
+        for a, b in zip(hit, cold):
+            assert a.shape == (600,) and np.array_equal(a, b)
+
 
 class TestMellinDirect:
     def test_single_plain_mode_closed_form(self):
