@@ -14,7 +14,7 @@ from math import exp, isfinite, pi, sqrt
 
 import numpy as np
 
-from .eisenstein import (SeriesParams, TestFunctionPsi, TruncationConfig,
+from .eisenstein import (BESSEL_TOL, SeriesParams, TestFunctionPsi,
                          eisenstein_coset_sum, eisenstein_fourier_group,
                          f_seed)
 from .gaussian import (GaussInt, divisors, enumerate_coset_reps, factor_gauss,
@@ -37,14 +37,12 @@ from .su2 import (SpectralIndex, euler_decompose, haar_grid, random_su2,
 @dataclass
 class RunConfig:
     coset_norm_bound: int = 1000
-    lattice_norm_bound: int = 400
     out: str = ""
     format: str = "csv"
     seed: int = 20210
 
     def __post_init__(self):
-        if not (1 <= self.coset_norm_bound <= MAX_NORM_BOUND
-                and 1 <= self.lattice_norm_bound <= MAX_NORM_BOUND):
+        if not 1 <= self.coset_norm_bound <= MAX_NORM_BOUND:
             raise ValueError("truncation bounds must lie in "
                              f"[1, {MAX_NORM_BOUND}]")
         if self.format not in ("csv", "json"):
@@ -52,9 +50,8 @@ class RunConfig:
 
 
 # RunConfig field -> command-line flag (argparse dest) that sets it
-_CONFIG_FLAGS = (("coset_norm_bound", "coset_bound"),
-                 ("lattice_norm_bound", "lattice_bound"),
-                 ("out", "out"), ("format", "format"), ("seed", "seed"))
+_CONFIG_FLAGS = (("coset_norm_bound", "coset_bound"), ("out", "out"),
+                 ("format", "format"), ("seed", "seed"))
 
 
 def build_config(args) -> RunConfig:
@@ -250,23 +247,35 @@ def _suite_lfunctions(cfg: RunConfig):
 
 
 def _suite_eisenstein(cfg: RunConfig):
-    tr = TruncationConfig(coset_norm_bound=cfg.coset_norm_bound,
-                          lattice_norm_bound=cfg.lattice_norm_bound)
     points = (H3Point(0.13, 0.21, 1.1), H3Point(-0.31, 0.05, 0.95),
               H3Point(0.02, -0.44, 1.6))
     rows = []
     for lkm in ((0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 1, 0)):
-        params = SeriesParams(SpectralIndex.make(*lkm), 2.0, tr)
+        params = SeriesParams(SpectralIndex.make(*lkm), 2.0)
         worst = 0.0
         for p in points:
             g = (GroupElementSL2C.translation(p.z)
                  * GroupElementSL2C.dilation(p.lam))
-            cs = eisenstein_coset_sum(params, g)
+            cs = eisenstein_coset_sum(params, g, cfg.coset_norm_bound)
             fv = eisenstein_fourier_group(params, g)
             budget = max(1e-4 * max(abs(cs.value), 1e-30),
                          3.0 * cs.tail_bound)
             worst = max(worst, abs(cs.value - fv) / budget)
         rows.append((f"two-route-l{lkm[0]}k{lkm[1]}m{lkm[2]}", worst, 1.0))
+    # on the line Re s = 0 the expansion is the only route: the series is
+    # invariant under S and TS to within 1e4 times the Bessel tolerance
+    g = (GroupElementSL2C.translation(0.1 + 0.05j)
+         * GroupElementSL2C.dilation(0.5))
+    inversion = GroupElementSL2C(0.0, -1.0, 1.0, 0.0)
+    gammas = (inversion, GroupElementSL2C.translation(1.0) * inversion)
+    for t in (20, 60):
+        for lkm in ((0, 0, 0), (1, 1, 0), (2, 0, 0), (2, 2, 2), (3, 1, -2)):
+            params = SeriesParams(SpectralIndex.make(*lkm), 1j * t)
+            base = eisenstein_fourier_group(params, g)
+            gap = max(abs(eisenstein_fourier_group(params, gm * g) - base)
+                      for gm in gammas)
+            rows.append((f"invariance-t{t}-l{lkm[0]}k{lkm[1]}m{lkm[2]}",
+                         gap / abs(base), 1e4 * BESSEL_TOL))
     return rows
 
 
@@ -390,16 +399,14 @@ def cmd_eval(args) -> int:
         raise ValueError(f"point must be finite 'x,y,lam': {exc}") from None
     if not lam > 0:
         raise ValueError("point height must be positive")
-    tr = TruncationConfig(coset_norm_bound=cfg.coset_norm_bound,
-                          lattice_norm_bound=cfg.lattice_norm_bound)
-    params = SeriesParams(index, s, tr)
+    params = SeriesParams(index, s)
     g = (GroupElementSL2C.translation(complex(x, y))
          * GroupElementSL2C.dilation(lam))
     out = {"l": str(index.l), "k": str(index.k), "m": str(index.m),
            "s_re": s.real, "s_im": s.imag, "point": args.point,
            "route": args.route}
     if args.route in ("coset", "both"):
-        cs = eisenstein_coset_sum(params, g)
+        cs = eisenstein_coset_sum(params, g, cfg.coset_norm_bound)
         out["coset_re"], out["coset_im"] = cs.value.real, cs.value.imag
         out["coset_tail"] = cs.tail_bound
     if args.route in ("fourier", "both"):
@@ -465,7 +472,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"))
         if bounds:
             p.add_argument("--coset-bound", dest="coset_bound", type=int)
-            p.add_argument("--lattice-bound", dest="lattice_bound", type=int)
 
     pv = sub.add_parser("verify", help="run an invariant/identity suite")
     pv.add_argument("suite", choices=sorted(SUITES) + ["all"])

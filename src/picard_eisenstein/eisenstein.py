@@ -16,12 +16,12 @@ half-integer lattice; a frequency is stored as the Gaussian integer 2w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import exp, log, pi, sqrt
 
 import numpy as np
 
-from .gaussian import GaussInt, canonical_associate
+from .gaussian import GaussInt
 from .h3 import GroupElementSL2C, iwasawa_decompose
 from .lseries import (_canonical_mu_table, _lattice_arrays,
                       l_function_continued, sigma_twisted)
@@ -44,20 +44,9 @@ BESSEL_TOL = 1e-12
 ROW_CHUNK = 4096
 
 @dataclass(frozen=True)
-class TruncationConfig:
-    coset_norm_bound: int = 1000
-    lattice_norm_bound: int = 400
-
-    def __post_init__(self):
-        if self.coset_norm_bound < 1 or self.lattice_norm_bound < 1:
-            raise ValueError("truncation parameters must be positive")
-
-
-@dataclass(frozen=True)
 class SeriesParams:
     index: SpectralIndex
     s: complex
-    truncation: TruncationConfig = field(default_factory=TruncationConfig)
 
     def __post_init__(self):
         if self.index.two_l % 2 != 0:
@@ -201,20 +190,22 @@ def _combine_rotation(l: int, k: int, kinv, values) -> complex:
 
 # -- the series in the convergent half-plane ------------------------------------
 
-def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesValue:
+def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C,
+                         bound: int = 1000) -> SeriesValue:
     """Truncated coset sum of the series at g, Re(s) > 1 only: the row
     vector of _row_sum_vector (identity coset included, every entry
     a = -l..l from the same chunked pass over the rows) with the weight
     height^{1+s}, contracted with the rotation part of g. Rows are cut at
-    |c|^2 + |d|^2 <= coset_norm_bound and the discarded remainder is
-    bounded by an integral comparison (rotation entries have modulus <= 1,
-    row heights are <= lam / (mu * rownorm)). For odd m the unit classes
-    cancel and the value is exactly 0."""
+    |c|^2 + |d|^2 <= bound, the one truncation of this route, and the
+    discarded remainder is bounded by an integral comparison (rotation
+    entries have modulus <= 1, row heights are <= lam / (mu * rownorm)).
+    For odd m the unit classes cancel and the value is exactly 0."""
     s = complex(params.s)
     if s.real <= 1.0:
         raise ValueError("coset-sum route requires Re(s) > 1")
+    if bound < 1:
+        raise ValueError("the coset norm bound must be positive")
     l, k, m = params.lkm()
-    bound = params.truncation.coset_norm_bound
     co = iwasawa_decompose(g)
     z, lam = co.z, co.height
     vec = _row_sum_vector(l, m, z, lam, bound, s)
@@ -233,21 +224,6 @@ def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C) -> SeriesVal
 class ConstantTermData:
     coefficient: complex
     exponent: complex  # the term is coefficient * lam**exponent
-
-
-@dataclass(frozen=True)
-class WaveTermData:
-    frequency: complex       # w in the half-integer lattice (nonzero)
-    d_value: complex         # closed-form exponential-sum value at -w
-    coefficient: complex     # d_value * |w|^{s-1} * (w/|w|)^{-k-m}
-    u_terms: tuple           # ((signed xi, 1/Gamma(1+l+s-u), Bessel order), ...)
-
-
-@dataclass(frozen=True)
-class FourierExpansionTerms:
-    prefactor: complex       # (-1)^{l+m} i^{-k-m} (2 pi)^s B
-    constant_terms: tuple
-    nonconstant_terms: dict  # (2w).re, (2w).im -> WaveTermData
 
 
 def _constant_terms(l: int, k: int, m: int, s: complex) -> tuple:
@@ -288,32 +264,30 @@ def _prefactor(l: int, k: int, m: int, s: complex) -> complex:
         * b_factor(l, k, m)
 
 
-def fourier_expansion_terms(params: SeriesParams) -> FourierExpansionTerms:
-    """Assembled coefficient data of the expansion: both constant-term
-    coefficients and, for every frequency with |2w|^2 <= lattice_norm_bound,
-    its exponential-sum value, angular factor, and Bessel/gamma data."""
+def fourier_expansion_terms(params: SeriesParams, norm_bound: int):
+    """The frequencies w of the expansion with |2w|^2 <= norm_bound and
+    their coefficient data, for even m: the int64 arrays (re, im) of 2w in
+    the order of _lattice_arrays, and the closed form of the exponential
+    lattice series at -w, 16 sigma_twisted(2w, m/2, -s) / (4 L(1+s, 2m)).
+    The divisor sum is associate-invariant, so it is computed once per
+    associate class of 2w, at the class representative with re > 0,
+    im >= 0. Bounds above MAX_NORM_BOUND are refused before anything is
+    allocated."""
     s = complex(params.s)
-    l, k, m = params.lkm()
-    consts = () if m % 2 else _constant_terms(l, k, m, s)
-    waves = {}
-    if m % 2 == 0:
-        udata = _u_data(l, k, m, s)
-        l_den = 4.0 * l_function_continued(1.0 + s, 2 * m)
-        re, im, norm = _lattice_arrays(params.truncation.lattice_norm_bound)
-        # closed form of the exponential lattice series at frequency -w;
-        # associate-invariant, so computed once per class
-        d_values = {}
-        for j in range(len(norm)):
-            tw = GaussInt(int(re[j]), int(im[j]))
-            wc = complex(tw.re, tw.im) / 2.0
-            cls = canonical_associate(tw)
-            dv = d_values.get(cls)
-            if dv is None:
-                dv = d_values[cls] = \
-                    16.0 * sigma_twisted(cls, m // 2, -s) / l_den
-            coef = dv * abs(wc) ** (s - 1.0) * (wc / abs(wc)) ** (-k - m)
-            waves[(tw.re, tw.im)] = WaveTermData(wc, dv, coef, udata)
-    return FourierExpansionTerms(_prefactor(l, k, m, s), consts, waves)
+    m = params.lkm()[2]
+    re, im, _ = _lattice_arrays(norm_bound)
+    # multiply by -i until 2w lands in re > 0, im >= 0 (at most three turns)
+    cre, cim = re.copy(), im.copy()
+    for _ in range(3):
+        turn = (cre <= 0) | (cim < 0)
+        cre[turn], cim[turn] = cim[turn], -cre[turn]
+    classes, cls_idx = np.unique(cre + 1j * cim, return_inverse=True)
+    l_den = 4.0 * l_function_continued(1.0 + s, 2 * m)
+    d_class = np.array([16.0 * sigma_twisted(GaussInt(int(c.real),
+                                                      int(c.imag)),
+                                             m // 2, -s) / l_den
+                        for c in classes], dtype=complex)
+    return re, im, d_class[cls_idx]
 
 
 def _frequency_cut(s: complex) -> float:
@@ -332,31 +306,26 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
     points zs (complex) and the heights lams, of shape (len(rows),) +
     shape(zs) + shape(lams). Terms decay like exp(-2 pi |2w| lam), so a
     frequency enters only while 2 pi |2w| lam <= x_cut at the lowest height
-    of the call; coefficients are computed once, for the frequencies inside
-    the cut at lam_min. The values are separable in (z, lam): the phases
-    are formed on the points and the Bessel factors on the heights, each
-    distinct order once, shared across the rows. The series vanishes
-    identically for odd m.
+    of the call. That cut is the only truncation of the expansion: the
+    frequencies inside it at lam_min, |2w|^2 <= (x_cut / (2 pi lam_min))^2,
+    get their coefficients once, and a height whose need exceeds
+    MAX_NORM_BOUND is refused (ValueError) before anything is allocated.
+    The values are separable in (z, lam): the phases are formed on the
+    points and the Bessel factors on the heights, each distinct order once,
+    shared across the rows. The series vanishes identically for odd m.
     """
     s = complex(params.s)
     l, _, m = params.lkm()
     if m % 2:  # the series vanishes identically for odd m
         return lambda zs, lams: np.zeros(
             (len(rows),) + np.shape(zs) + np.shape(lams), dtype=complex)
-    trunc = params.truncation
     x_cut = _frequency_cut(s)
-    norm_cut = min(trunc.lattice_norm_bound,
-                   int((x_cut / (2.0 * pi * lam_min)) ** 2))
-    terms = fourier_expansion_terms(
-        replace(params, truncation=replace(
-            trunc, lattice_norm_bound=max(norm_cut, 1))))
-    waves = terms.nonconstant_terms
-    two_w = np.array(list(waves), dtype=float).reshape(-1, 2)
-    norm = two_w[:, 0] ** 2 + two_w[:, 1] ** 2
-    wc = np.array([wt.frequency for wt in waves.values()], dtype=complex)
+    re, im, d_values = fourier_expansion_terms(
+        params, int((x_cut / (2.0 * pi * lam_min)) ** 2))
+    norm = re * re + im * im
+    wc = (re + 1j * im) / 2.0
     absw = np.abs(wc)
-    dcoef = np.array([wt.d_value for wt in waves.values()],
-                     dtype=complex) * absw ** (s - 1.0)
+    dcoef = d_values * absw ** (s - 1.0)
     row_data = [(_constant_terms(l, a, m, s),
                  _u_data(l, a, m, s), dcoef * (wc / absw) ** (-a - m),
                  _prefactor(l, a, m, s)) for a in rows]

@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import loggamma
 
-from .eisenstein import (SeriesParams, TestFunctionPsi, TruncationConfig,
-                         _constant_terms, fourier_evaluator)
+from .eisenstein import (SeriesParams, TestFunctionPsi, _constant_terms,
+                         fourier_evaluator)
 from .h3 import (GroupElementSL2C, H3Point, QuadResult, frame_transport,
                  integrate_dV)
 from .lseries import (SyntheticCuspCoefficients, l_function_continued,
@@ -57,6 +57,9 @@ ZETA_K_CONSTANT_TERM = 0.6462454398948133
 #: relative agreement of two successive halvings that ends it
 CONTOUR_STEP = 0.05
 CONTOUR_TOL = 1e-6
+
+#: inversions after which a reduction is declared non-terminating
+REDUCTION_MAX_STEPS = 500
 
 
 # -- fiber modes ------------------------------------------------------------------
@@ -133,13 +136,13 @@ def fiber_coefficients(f: FiberFunction, p: H3Point, cross_check: bool = False,
 _INVERSION = GroupElementSL2C(0.0, -1.0, 1.0, 0.0)
 
 
-def reduce_to_fundamental(p: H3Point, max_steps: int = 500):
+def reduce_to_fundamental(p: H3Point):
     """(q, gamma) with gamma(p) = q in the closed fundamental domain:
     alternate recentering of z into the unit square with the inversion,
     which strictly increases the height whenever it applies."""
     x, y, lam = p.x, p.y, p.lam
     g = GroupElementSL2C.identity()
-    for _ in range(max_steps):
+    for _ in range(REDUCTION_MAX_STEPS):
         dx, dy = round(x), round(y)
         if dx or dy:
             x -= dx
@@ -171,7 +174,7 @@ class Reduction(NamedTuple):
     beta: np.ndarray | None
 
 
-def _reduce_arrays(xs, ys, lams, max_steps: int = 500) -> Reduction:
+def _reduce_arrays(xs, ys, lams) -> Reduction:
     """Vectorized reduction carrying the rotation cocycle (translations
     transport trivially; each inversion contributes K[conj(z)/r, -lam/r],
     r = |z|^2 + lam^2 at the current point, composed on the left) on
@@ -202,7 +205,7 @@ def _reduce_arrays(xs, ys, lams, max_steps: int = 500) -> Reduction:
     x, y, lam = (a.flatten() for a in np.broadcast_arrays(x, y, lam))
     ta = np.ones(x.shape, dtype=complex)
     tb = np.zeros(x.shape, dtype=complex)
-    for _ in range(max_steps):
+    for _ in range(REDUCTION_MAX_STEPS):
         x -= np.round(x)
         y -= np.round(y)
         r2 = x * x + y * y + lam * lam
@@ -320,26 +323,25 @@ def _transported_coefficient(sds: tuple, psi: TestFunctionPsi, two_n: int):
     return coefficient
 
 
-def invariant_fiber_function(seeds, psi: TestFunctionPsi,
-                             floor: float = 1.5,
-                             tail_eps: float = 1e-20) -> InvariantFiberFunction:
+def invariant_fiber_function(seeds,
+                             psi: TestFunctionPsi) -> InvariantFiberFunction:
     """Lattice-invariant function obtained by pushing band seeds through the
     reduction map.
 
-    The band (where psi exceeds tail_eps) must sit above the floor height:
+    The band (where psi exceeds 1e-20) must sit above height 1.5:
     up there a point determines its reduction uniquely up to horizontal
     translations and unit rotations, which the periodic cosine factor and
     the four-fold unit average absorb exactly, so invariance holds to
-    tail_eps. The modes of the returned function are the reduced-seed
+    1e-20. The modes of the returned function are the reduced-seed
     coefficients rotated by the accumulated frame cocycle.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
-    lo, hi = psi.support_interval(tail_eps)
-    if lo <= floor:
+    lo, hi = psi.support_interval(1e-20)
+    if lo <= 1.5:
         raise ValueError(
-            f"band floor {lo:.3f} must lie above height {floor} for the "
+            f"band floor {lo:.3f} must lie above height 1.5 for the "
             "averaged sum to collapse to a single reduction")
     groups = {}
     for sd in seeds:
@@ -361,8 +363,7 @@ def _seed_scale(f: InvariantFiberFunction, sigma: float) -> float:
                for sd in f.seeds) * band_mass + 1e-12
 
 
-def mellin_direct_result(f: FiberFunction, s: complex,
-                         tol: float | None = None) -> QuadResult:
+def mellin_direct_result(f: FiberFunction, s: complex) -> QuadResult:
     """Literal route: integral of f(p, identity) * lam^{1+s} over the unit
     strip against dV. For an invariant function the integrand is evaluated
     through the vectorized reduction; for a plain mode sum it is the mode
@@ -379,7 +380,7 @@ def mellin_direct_result(f: FiberFunction, s: complex,
     if s.real <= 1.0:
         raise ValueError("the strip transform needs Re(s) > 1")
     if isinstance(f, InvariantFiberFunction):
-        quad_tol = tol if tol is not None else 1e-4 * _seed_scale(f, s.real)
+        quad_tol = 1e-4 * _seed_scale(f, s.real)
 
         def fv(xs, ys, lams):
             return f.strip_values(xs, ys, lams) * lams ** (1.0 + s)
@@ -404,12 +405,11 @@ def mellin_direct_result(f: FiberFunction, s: complex,
 
     def g(p: H3Point) -> complex:
         return f.evaluate(p) * p.lam ** (1.0 + s)
-    return integrate_dV(g, "strip", tol=(tol if tol is not None else 1e-10))
+    return integrate_dV(g, "strip", tol=1e-10)
 
 
-def mellin_eisenstein_result(
-        f: InvariantFiberFunction, s: complex,
-        truncation: TruncationConfig | None = None) -> QuadResult:
+def mellin_eisenstein_result(f: InvariantFiberFunction,
+                             s: complex) -> QuadResult:
     """Spectral route: the same transform written as a pairing of each seed
     against the continued series over the band box. Unfolding the strip to
     the quotient and back to the box turns the seed (l, k, m) into the
@@ -420,15 +420,13 @@ def mellin_eisenstein_result(
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("the strip transform needs Re(s) > 1")
-    trunc = truncation if truncation is not None else TruncationConfig()
     lo, hi = f.band
     total = 0.0 + 0.0j
     err = 0.0
     for sd in f.seeds:
         if (sd.two_k // 2) % 2:
             continue  # odd k: the paired series vanishes identically
-        params = SeriesParams(SpectralIndex(sd.l, -sd.two_m, -sd.two_k), s,
-                              trunc)
+        params = SeriesParams(SpectralIndex(sd.l, -sd.two_m, -sd.two_k), s)
         series = fourier_evaluator(params, [params.lkm()[1]], lo)
         f1, f2 = sd.frequency
         psi = f.psi
@@ -578,15 +576,15 @@ class IncompletePairingResult:
         return self.f1 + self.f2
 
 
-def _mellin_log_derivative(psi: TestFunctionPsi, s: float = 2.0,
-                           h: float = 1e-6) -> complex:
-    """H'(s)/H(s): -center + width^2 s / 2 in closed form for the
-    log-gaussian; a central difference of step h for the compact bump,
-    whose transform is numeric."""
+def _mellin_log_derivative(psi: TestFunctionPsi) -> complex:
+    """H'(2)/H(2): -center + width^2 in closed form for the log-gaussian;
+    a central difference of step h = 1e-6 for the compact bump, whose
+    transform is numeric."""
     if psi.kind == "log-gaussian":
-        return complex(-psi.center + psi.width ** 2 * s / 2.0)
-    num = (psi.mellin(s + h) - psi.mellin(s - h)) / (2.0 * h)
-    return complex(num) / complex(psi.mellin(s))
+        return complex(-psi.center + psi.width ** 2)
+    h = 1e-6
+    num = (psi.mellin(2.0 + h) - psi.mellin(2.0 - h)) / (2.0 * h)
+    return complex(num) / complex(psi.mellin(2.0))
 
 
 def main_term_coefficient(index: SpectralIndex, psi: TestFunctionPsi) -> float:

@@ -33,11 +33,15 @@ MAX_TWO_J = 64  # factorial-sum evaluation degrades beyond this; refuse
 
 
 def _two(x) -> int:
-    """Doubled-integer encoding of a half-integer index."""
-    t = 2 * Fraction(x)
-    if t.denominator != 1:
+    """Doubled-integer encoding of a half-integer index, from the exact
+    ratio n/d of an int, float, Fraction or numpy scalar (numpy integers
+    have no as_integer_ratio; NaN and infinities are refused there)."""
+    if not hasattr(x, "as_integer_ratio"):
+        x = int(x)
+    n, d = x.as_integer_ratio()
+    if 2 % d:
         raise ValueError(f"{x} is not a half-integer")
-    return int(t)
+    return 2 * n // d
 
 
 def check_index(j, k, m) -> tuple[int, int, int]:

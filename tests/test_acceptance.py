@@ -14,7 +14,7 @@ import pytest
 from picard_eisenstein import eisenstein
 from picard_eisenstein.cli import RunConfig, _suite_wigner, main
 from picard_eisenstein.eisenstein import (
-    SeriesParams, TestFunctionPsi, TruncationConfig, eisenstein_coset_sum,
+    SeriesParams, TestFunctionPsi, eisenstein_coset_sum,
     eisenstein_fourier_group, f_seed,
 )
 from picard_eisenstein.h3 import GroupElementSL2C, H3Point
@@ -111,10 +111,9 @@ SERIES_POINTS = (H3Point(0.13, 0.21, 1.1), H3Point(-0.31, 0.05, 0.95),
 
 @lru_cache(maxsize=1)
 def series_coset_values():
-    tr = TruncationConfig(coset_norm_bound=1000)
     out = {}
     for lkm in SERIES_INDICES:
-        params = SeriesParams(SpectralIndex.make(*lkm), 2.0, tr)
+        params = SeriesParams(SpectralIndex.make(*lkm), 2.0)
         for i, p in enumerate(SERIES_POINTS):
             g = (GroupElementSL2C.translation(p.z)
                  * GroupElementSL2C.dilation(p.lam))

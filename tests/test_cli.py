@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import picard_eisenstein
+from picard_eisenstein import eisenstein
 from picard_eisenstein.cli import RunConfig, main
 
 SRC_DIR = str(Path(picard_eisenstein.__file__).resolve().parent.parent)
@@ -62,6 +63,35 @@ class TestEval:
         data = json.loads(out)
         assert "fourier_re" in data
         assert (data["l"], data["k"], data["m"]) == ("1", "0", "0")
+
+    def test_fourier_route_truncates_at_its_frequency_cut(self, capsys,
+                                                          monkeypatch):
+        # at height 0.9 and Im s = 180 the cut needs |2w|^2 <= 3411; a cut
+        # widened so that the norm bound is 5.29 times that changes nothing
+        argv = ("eval", "--route", "fourier", "--point", "0.13,0.21,0.9",
+                "--s-re", "0.5", "--s-im", "180", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        value = complex(data["fourier_re"], data["fourier_im"])
+        assert abs(value - (5.360086019 + 3.332382587j)) < 1e-9
+        cut = eisenstein._frequency_cut
+        monkeypatch.setattr(eisenstein, "_frequency_cut",
+                            lambda s: 2.3 * cut(s))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert abs(complex(data["fourier_re"], data["fourier_im"])
+                   - value) <= 1e-10
+
+    def test_fourier_route_refuses_oversized_need(self, capsys):
+        # height 1e-3 needs |2w|^2 up to 5.7e7, above the lattice cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--route", "fourier",
+                             "--point", "0,0,0.001")
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert "exceeds" in err
 
     def test_coset_route_needs_convergence(self, capsys):
         code, _, err = run(capsys, "eval", "--route", "coset",
@@ -211,6 +241,8 @@ class TestRemovedOptions:
         ["scan", "--task", "cusp", "--seed", "1"],
         ["scan", "--task", "cusp", "--coset-bound", "100"],
         ["scan", "--task", "cusp", "--lattice-bound", "100"],
+        ["eval", "--lattice-bound", "400"],
+        ["verify", "eisenstein", "--lattice-bound", "400"],
     ])
     def test_flag_is_usage_error(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -225,11 +257,20 @@ class TestRemovedOptions:
         assert code == 2
         assert "unknown config keys" in err
 
+    @pytest.mark.parametrize("argv", [["eval"], ["verify", "eisenstein"]])
+    def test_lattice_bound_key_is_unknown(self, capsys, tmp_path, argv):
+        # the expansion's truncation follows from s and the height
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lattice_norm_bound": 400}))
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "unknown config keys: ['lattice_norm_bound']" in err
+
 
 class TestOversizedTruncation:
     @pytest.mark.parametrize("argv", [
         ["eval", "--coset-bound", "1000000000"],
-        ["eval", "--lattice-bound", "1000001"],
+        ["eval", "--coset-bound", "1000001"],
         ["verify", "lfunctions", "--coset-bound", "1000000000"],
     ])
     def test_flag_refused_before_work(self, capsys, argv):
@@ -248,7 +289,7 @@ class TestOversizedTruncation:
         assert "truncation bounds" in err
 
     def test_largest_bound_accepted(self):
-        cfg = RunConfig(coset_norm_bound=10 ** 6, lattice_norm_bound=10 ** 6)
+        cfg = RunConfig(coset_norm_bound=10 ** 6)
         assert cfg.coset_norm_bound == 10 ** 6
 
 

@@ -9,7 +9,7 @@ from picard_eisenstein.su2 import (
     euler_decompose, haar_grid, haar_integrate, phi_coeff, random_su2,
     rot_matrix, spin_cover, su2_from_euler, t_basis, t_modes,
     wigner_column, wigner_D_euler, wigner_D_su2, wigner_monomial,
-    wigner_small_d, wigner_symmetries_check,
+    wigner_small_d, wigner_symmetries_check, _two,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -245,3 +245,22 @@ class TestSpectralIndex:
             SpectralIndex.make(1, HALF, 0)
         with pytest.raises(ValueError):
             SpectralIndex.make(1, 2, 0)
+
+    @pytest.mark.parametrize("x, two", [
+        (0, 0), (3, 6), (-2, -4), (1.5, 3), (-0.5, -1), (HALF, 1),
+        (Fraction(-7, 2), -7), (np.int64(4), 8), (np.float64(2.5), 5),
+        (np.float32(-1.5), -3)])
+    def test_doubled_encoding(self, x, two):
+        got = _two(x)
+        assert got == two and type(got) is int
+
+    @pytest.mark.parametrize("x, error, match", [
+        (0.25, ValueError, "0.25 is not a half-integer"),
+        (Fraction(1, 3), ValueError, "1/3 is not a half-integer"),
+        (np.float64(0.75), ValueError, "0.75 is not a half-integer"),
+        (float("nan"), ValueError, "cannot convert NaN"),
+        (float("inf"), OverflowError, "cannot convert Infinity"),
+        (float("-inf"), OverflowError, "cannot convert Infinity")])
+    def test_doubled_encoding_refuses(self, x, error, match):
+        with pytest.raises(error, match=match):
+            _two(x)
