@@ -23,11 +23,11 @@ import numpy as np
 
 from .gaussian import GaussInt
 from .h3 import GroupElementSL2C, iwasawa_decompose
-from .lseries import (_canonical_mu_table, _lattice_arrays,
+from .lseries import (MAX_NORM_BOUND, _canonical_mu_table, _lattice_arrays,
                       l_function_continued, sigma_twisted)
 from .specfun import bessel_k_complex_array, gamma_complex
-from .su2 import (SpectralIndex, b_factor, wigner_column, wigner_D_su2,
-                  xi_weight)
+from .su2 import (SpectralIndex, SU2Element, b_factor, wigner_D_su2,
+                  wigner_monomial, xi_weight)
 
 #: unit-class multiplicity: each of the four diagonal-unit rows (0, u) gives
 #: the leading constant term, and the zero-frequency term carries the same
@@ -96,11 +96,12 @@ def _height_form_min(z: complex, lam: float) -> float:
     return (tr - disc) / 2.0
 
 
-def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
-                    s: complex) -> np.ndarray:
-    """Sum of conj(D_{am}(row rotation)) * (row height)^{1+s} over the
-    cosets of the unipotent subgroup, the coprime rows (c, d) with
-    |c|^2 + |d|^2 <= bound, returned as a vector over a = -l..l.
+def _row_sum(l: int, k: int, m: int, kinv: SU2Element, z: complex,
+             lam: float, bound: int, s: complex) -> complex:
+    """Sum of conj(D_{km}(kinv K)) * (row height)^{1+s} over the cosets of
+    the unipotent subgroup, the coprime rows (c, d) with
+    |c|^2 + |d|^2 <= bound, where K is the row's rotation and kinv the
+    inverse rotation part of g: the value of the series at g.
 
     A unit u sends the row (c, d) to (uc, ud), which has the same height
     and the rotation K diag(u, conj u), so each class of four rows sums to
@@ -112,33 +113,32 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
     the sum over the coprime rows with c != 0 is the sum over canonical g
     of mu(g) times the sum over all rows (c, d), c != 0, of the term at
     g (c, d). The row g (c, d) has the height h / |g|^2 and the rotation
-    K diag(u, conj u),
-    u = g/|g|, of the row (c, d) (height h, rotation K), and
-    conj(D_{am}(K diag(u, conj u))) = conj(D_{am}(K)) u^{2m} for every a.
+    K diag(u, conj u), u = g/|g|, of the row (c, d) (height h, rotation K),
+    and conj(D_{km}(kinv K diag(u, conj u))) = conj(D_{km}(kinv K)) u^{2m}.
     So the power weight factors by the row norm n = |c|^2 + |d|^2:
 
         sum over the coprime rows with c canonical = sum over c
         canonical, every d (d = 0 included), n <= bound, of
-        conj(D_{am}(K)) h^{1+s} W[n],
+        conj(D_{km}(kinv K)) h^{1+s} W[n],
 
     with W = _norm_weight_table(m, s, bound), an exact rearrangement of
     the finite sum. One block per canonical c holds its rows in the order
     of _lattice_arrays, d = 0 first. The rows are walked in chunks of
     ROW_CHUNK rows, blocks straddling chunk ends, and each chunk gets one
-    numpy pass: the weights and all 2l+1 Wigner entries at once
-    (su2.wigner_column). The row (c, d) has h = lam / v^2 and
-    K = K[t / v, lam conj(c) / v], t = c z + d, v^2 = |t|^2 + lam^2 |c|^2;
-    the entries are homogeneous of degree 2l in (alpha, beta), so they are
-    taken at (t, lam conj(c)) and v^{-2l} joins the weight. The rows are
-    never all held at once: their memory is a few chunk-sized arrays at
-    any bound.
+    numpy pass: the weights and one Wigner entry per row. The row (c, d)
+    has h = lam / v^2 and K = K[t / v, lam conj(c) / v], t = c z + d,
+    v^2 = |t|^2 + lam^2 |c|^2; the entry is homogeneous of degree 2l in
+    (alpha, beta), so it is taken at kinv (t, lam conj(c)), the product of
+    SU2Element.__mul__ unnormalized, and v^{-2l} joins the weight. The
+    rows are never all held at once: their memory is a few chunk-sized
+    arrays at any bound.
     """
-    acc = np.zeros(2 * l + 1, dtype=complex)
     units = _diagonal_unit_sum(m)
     if units == 0.0:
-        return acc
+        return 0.0 + 0.0j
     lam_power = np.exp((1.0 + s) * np.log(lam))
-    acc[m + l] = lam_power
+    acc = wigner_monomial(2 * l, 2 * k, 2 * m, kinv.alpha,
+                          kinv.beta).conjugate() * lam_power
     re, im, norm = _lattice_arrays(bound)
     d_lattice = np.append(0.0, re + 1j * im)  # leading entry: the d = 0 row
     d_norm = np.append(0, norm)
@@ -149,8 +149,12 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
     starts = ends - count
     c_tab = re[canon] + 1j * im[canon]
     cz_tab = c_tab * z                    # per block: c z,
-    beta_tab = lam * c_tab.conjugate()    # lam conj(c),
-    shift_tab = lam * lam * c_norm        # and lam^2 |c|^2
+    shift_tab = lam * lam * c_norm        # lam^2 |c|^2,
+    # and the parts of kinv (t, lam conj(c)) that do not depend on d:
+    # (ka t - kb lam c, ka lam conj(c) + kb conj(t)) for kinv = K[ka, kb]
+    ka, kb = kinv.alpha, kinv.beta
+    alpha_tab = -kb * lam * c_tab
+    beta_tab = ka * lam * c_tab.conjugate()
     weight = lam_power * _norm_weight_table(m, s, bound)
     n_rows = int(ends[-1])
     for r0 in range(0, n_rows, ROW_CHUNK):
@@ -162,11 +166,12 @@ def _row_sum_vector(l: int, m: int, z: complex, lam: float, bound: int,
         d_idx = np.arange(r0, r1) - starts[blk]
         t = cz_tab[blk] + d_lattice[d_idx]
         v2 = t.real ** 2 + t.imag ** 2 + shift_tab[blk]
-        wig = wigner_column(2 * l, 2 * m, t, beta_tab[blk])
+        wig = wigner_monomial(2 * l, 2 * k, 2 * m, ka * t + alpha_tab[blk],
+                              beta_tab[blk] + kb * t.conjugate())
         wvals = (np.exp(-(1.0 + s + l) * np.log(v2))
                  * weight[c_norm[blk] + d_norm[d_idx]])
-        # sum_n conj(D_an) w_n, formed as the conjugate of sum_n D_an conj(w_n)
-        acc += np.einsum("an,n->a", wig, wvals.conjugate()).conjugate()
+        # sum_n conj(D_n) w_n, formed as the conjugate of sum_n D_n conj(w_n)
+        acc += np.einsum("n,n->", wig, wvals.conjugate()).conjugate()
     return units * acc
 
 
@@ -192,14 +197,14 @@ def _combine_rotation(l: int, k: int, kinv, values) -> complex:
 
 def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C,
                          bound: int = 1000) -> SeriesValue:
-    """Truncated coset sum of the series at g, Re(s) > 1 only: the row
-    vector of _row_sum_vector (identity coset included, every entry
-    a = -l..l from the same chunked pass over the rows) with the weight
-    height^{1+s}, contracted with the rotation part of g. Rows are cut at
-    |c|^2 + |d|^2 <= bound, the one truncation of this route, and the
-    discarded remainder is bounded by an integral comparison (rotation
-    entries have modulus <= 1, row heights are <= lam / (mu * rownorm)).
-    For odd m the unit classes cancel and the value is exactly 0."""
+    """Truncated coset sum of the series at g, Re(s) > 1 only: _row_sum
+    (identity coset included), one Wigner entry per row taken at the
+    product of the inverse rotation part of g with the row's rotation.
+    Rows are cut at |c|^2 + |d|^2 <= bound, the one truncation of this
+    route, and the discarded remainder is bounded by an integral
+    comparison (rotation entries have modulus <= 1, row heights are
+    <= lam / (mu * rownorm)). For odd m the unit classes cancel and the
+    value is exactly 0."""
     s = complex(params.s)
     if s.real <= 1.0:
         raise ValueError("coset-sum route requires Re(s) > 1")
@@ -208,9 +213,7 @@ def eisenstein_coset_sum(params: SeriesParams, g: GroupElementSL2C,
     l, k, m = params.lkm()
     co = iwasawa_decompose(g)
     z, lam = co.z, co.height
-    vec = _row_sum_vector(l, m, z, lam, bound, s)
-    value = _combine_rotation(l, k, co.k.inv(),
-                              lambda rows: [vec[a + l] for a in rows])
+    value = _row_sum(l, k, m, co.k.inv(), z, lam, bound, s)
     mu = _height_form_min(z, lam)
     sig = s.real
     tail = pi ** 2 * (lam / mu) ** (1.0 + sig) \
@@ -320,6 +323,10 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
         return lambda zs, lams: np.zeros(
             (len(rows),) + np.shape(zs) + np.shape(lams), dtype=complex)
     x_cut = _frequency_cut(s)
+    # compared before squaring: the square overflows at tiny heights
+    if lam_min < x_cut / (2.0 * pi * sqrt(MAX_NORM_BOUND + 1)):
+        raise ValueError(f"lattice norm bound (x_cut / (2 pi lam))^2 at "
+                         f"height {lam_min} exceeds {MAX_NORM_BOUND}")
     re, im, d_values = fourier_expansion_terms(
         params, int((x_cut / (2.0 * pi * lam_min)) ** 2))
     norm = re * re + im * im

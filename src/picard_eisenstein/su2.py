@@ -1,8 +1,8 @@
 """SU(2)/SO(3) group elements, the spin covering map, Euler angles, Wigner
 matrix coefficients (integer and half-integer order; one monomial
-evaluation serving both single elements and numpy arrays of them, and one
-that gives a whole column D^j_{am}, a = -j..j, at once), and the index
-weights B and xi that the series expansion and the pairings use.
+evaluation, a Horner sum, serving both single elements and numpy arrays of
+them), and the index weights B and xi that the series expansion and the
+pairings use.
 
 Index arguments (j, k, m) are half-integers passed as ints, floats or
 Fractions with 2j integral; they are converted to doubled integers
@@ -206,65 +206,45 @@ def wigner_D_su2(j, k, m, a: SU2Element) -> complex:
 def wigner_monomial(tj: int, tk: int, tm: int, alpha, beta):
     """D^j_{km} on K[alpha, beta] from the doubled indices (2j, 2k, 2m),
     without index validation. alpha and beta are complex numbers or numpy
-    arrays of them (evaluated entrywise), with |alpha|^2 + |beta|^2 = 1."""
-    # K^{-1}(x, y) = (conj(alpha) x + conj(beta)... ) worked out explicitly:
-    # with K = K[al, be], K^{-1} = K[conj(al), -be], acting on column (x, y):
-    #   x' = conj(al) x - be y,  y' = conj(be) x + al y
-    p, q = alpha.conjugate(), -beta       # x' = p x + q y
-    u, v = beta.conjugate(), alpha        # y' = u x + v y
+    arrays of them (evaluated entrywise, the result an array of alpha's
+    shape, also at j = 0), with |alpha|^2 + |beta|^2 = 1; the entry is
+    homogeneous of degree 2j, so a pair of norm v gives v^{2j} D^j_{km}.
+
+    K^{-1} = K[conj(alpha), -beta] acts on the column (x, y) as
+    x' = p x + q y, y' = u x + v y with p, q, u, v = conj(alpha), -beta,
+    conj(beta), alpha, and D^j_{km} is the coefficient of x^{j+k} y^{j-k}
+    in x'^{j+m} y'^{j-m}, normalized. Its terms t = t0 + i, i = 0..n, are
+    r C_i (p v)^i (q u)^{n-i} with one common factor r; p v = |alpha|^2
+    and q u = -|beta|^2 are real, and the sum is taken by Horner's rule in
+    p v with a running power of q u."""
     jm, jmm = (tj + tm) // 2, (tj - tm) // 2   # j+m, j-m
     jk, jkm = (tj + tk) // 2, (tj - tk) // 2   # j+k, j-k
-    # coefficient of x^{j+k} y^{j-k} in (p x + q y)^{j+m} (u x + v y)^{j-m}
-    acc = 0.0 + 0.0j
-    for t in range(max(0, jk - jmm), min(jm, jk) + 1):
-        # x^t from the first factor, x^{jk-t} from the second
-        term = comb(jm, t) * comb(jmm, jk - t)
-        acc = acc + (term * p ** t * q ** (jm - t)
-                     * u ** (jk - t) * v ** (jmm - jk + t))
-    norm = sqrt(factorial(jk) * factorial(jkm)
-                / (factorial(jm) * factorial(jmm)))
-    return acc * norm
-
-
-def wigner_column(tj: int, tm: int, alpha, beta) -> np.ndarray:
-    """Every D^j_{am}, a = -j..j, on K[alpha, beta] from the doubled
-    indices (2j, 2m), without index validation: an array of shape
-    (2j+1,) + shape(alpha) whose row a + j is what wigner_monomial gives
-    for (2j, 2a, 2m). Row a is the coefficient of x^{j+a} y^{j-a} in
-    (p x + q y)^{j+m} (u x + v y)^{j-m} (p, q, u, v as in
-    wigner_monomial), so the powers are formed once and the two binomial
-    expansions convolved."""
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    jm, jmm = (tj + tm) // 2, (tj - tm) // 2
-    first = _binomial_terms(alpha.conjugate(), -beta, jm)
-    second = _binomial_terms(beta.conjugate(), alpha, jmm)
-    if jm < jmm:  # loop over the shorter expansion
-        first, second = second, first
-    out = np.zeros((tj + 1,) + alpha.shape, dtype=complex)
-    for t in range(len(second)):
-        out[t:t + len(first)] += second[t] * first
-    norm = [sqrt(factorial(jk) * factorial(tj - jk)
-                 / (factorial(jm) * factorial(jmm))) for jk in range(tj + 1)]
-    out *= np.reshape(norm, (tj + 1,) + (1,) * alpha.ndim)
-    return out
-
-
-def _binomial_terms(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """C(n, t) x^t y^{n-t} for t = 0..n, stacked along a new first axis."""
-    out = np.empty((n + 1,) + x.shape, dtype=complex)
-    out[n] = 1.0
-    for t in range(n - 1, -1, -1):
-        out[t] = out[t + 1] * y
-    xt = x
-    for t in range(1, n + 1):
-        out[t] *= xt
-        if t < n:
-            xt = xt * x
-    if n > 1:  # the binomials of n <= 1 are all 1
-        out *= np.reshape([float(comb(n, t)) for t in range(n + 1)],
-                          (n + 1,) + (1,) * x.ndim)
-    return out
+    # x^t from the first factor, x^{jk-t} from the second
+    t0, t1 = max(0, jk - jmm), min(jm, jk)
+    acc = float(comb(jm, t1) * comb(jmm, jk - t1))
+    if t1 > t0:
+        pv = alpha.real ** 2 + alpha.imag ** 2
+        qu = -(beta.real ** 2 + beta.imag ** 2)
+        qu_pow = qu
+        for t in range(t1 - 1, t0 - 1, -1):
+            acc = acc * pv + float(comb(jm, t) * comb(jmm, jk - t)) * qu_pow
+            if t > t0:
+                qu_pow = qu_pow * qu
+    # r = p^t0 q^(jm-t1) u^(jk-t1) v^(jmm-jk+t0), a base formed only when
+    # its power is nonzero
+    for power, base in ((t0, lambda: alpha.conjugate()),
+                        (jm - t1, lambda: -beta),
+                        (jk - t1, lambda: beta.conjugate()),
+                        (jmm - jk + t0, lambda: alpha)):
+        if power:
+            acc = acc * base() ** power
+    acc = acc * sqrt(factorial(jk) * factorial(jkm)
+                     / (factorial(jm) * factorial(jmm)))
+    if not np.ndim(alpha):
+        return complex(acc)
+    if not np.ndim(acc):  # j = 0: no factor carried alpha's shape
+        return np.full(np.shape(alpha), acc, dtype=complex)
+    return acc
 
 
 def _cpow(z: complex, n: int) -> complex:

@@ -93,6 +93,14 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "exceeds" in err
 
+    def test_fourier_route_refuses_tiny_height(self, capsys):
+        # the need (x_cut / (2 pi lam))^2 is compared with the lattice cap
+        # before it is squared, which would overflow at this height
+        code, out, err = run(capsys, "eval", "--route", "fourier",
+                             "--point", "0,0,1e-200")
+        assert (code, out) == (2, "")
+        assert "exceeds" in err
+
     def test_coset_route_needs_convergence(self, capsys):
         code, _, err = run(capsys, "eval", "--route", "coset",
                            "--s-re", "0.5")

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from picard_eisenstein import eisenstein, gaussian, lseries
 from picard_eisenstein.eisenstein import (
     SeriesParams, TestFunctionPsi, _combine_rotation, _constant_terms,
-    _height_form_min, _row_sum_vector,
+    _height_form_min, _row_sum,
     eisenstein_coset_sum, eisenstein_fourier_group, f_seed,
     fourier_evaluator, fourier_expansion_terms,
 )
@@ -19,8 +19,8 @@ from picard_eisenstein.gaussian import GaussInt
 from picard_eisenstein.h3 import GroupElementSL2C, H3Point, iwasawa_decompose
 from picard_eisenstein.lseries import MAX_NORM_BOUND, _lattice_arrays
 from picard_eisenstein.su2 import (
-    SpectralIndex, SU2Element, b_factor, random_su2, wigner_D_su2,
-    wigner_monomial, xi_weight,
+    SU2_IDENTITY, SpectralIndex, SU2Element, b_factor, random_su2,
+    wigner_D_su2, wigner_monomial, xi_weight,
 )
 
 RNG = np.random.default_rng(571204)
@@ -91,6 +91,13 @@ def row_sum_four_units(l, m, z, lam, bound, hweight):
                         np.sum(np.conjugate(wig) * wvals))
     acc[m + l] += (4.0 if m % 2 == 0 else 0.0) * hweight(lam)
     return acc
+
+
+def contract(l, k, kinv, vec):
+    """sum_a conj(D_{ka}(kinv)) vec[a + l]: a reference row vector's value
+    at the index k and the inverse rotation kinv of g."""
+    return sum(complex(wigner_D_su2(l, k, a, kinv)).conjugate() * vec[a + l]
+               for a in range(-l, l + 1))
 
 
 class TestSeedFunction:
@@ -258,22 +265,25 @@ class TestCosetSum:
 
 
 class TestRowSum:
-    """The engine's row vector against the four-unit reference, which opens
-    up coprimality by a different Moebius inversion (over the divisors of c
-    instead of the common divisor of the row)."""
+    """The engine's row sum against the four-unit reference vector
+    contracted with the rotation part of g; the reference opens up
+    coprimality by a different Moebius inversion (over the divisors of c
+    instead of the common divisor of the row) and takes all 2l+1 Wigner
+    entries of each row at the row's own rotation."""
     POWER_S = 1.8 + 7j
     PSI = TestFunctionPsi(center=-0.5, width=1.0)
     Z, LAM = 0.31 + 0.17j, 0.8
+    KINV = SU2Element(0.6 + 0.3j, -0.2 + 0.5j)
 
-    def psi_row_sum(self, l, m, bound):
+    def psi_row_sum(self, l, k, m, bound):
         """The psi-weighted row sum from power-weight row sums by Mellin
         inversion, psi(h) = (1/2 pi) int H(2 + i tau) h^{2 + i tau} dtau:
         a trapezoid over |tau| <= 12 (|H| < 1e-14 beyond), exact to about
         1e-14 relative at these sizes."""
         taus = np.arange(-12.0, 12.2, 0.4)
         return sum(self.PSI.mellin(2.0 + 1j * tau)
-                   * _row_sum_vector(l, m, self.Z, self.LAM, bound,
-                                     1.0 + 1j * tau)
+                   * _row_sum(l, k, m, self.KINV, self.Z, self.LAM, bound,
+                              1.0 + 1j * tau)
                    for tau in taus) * 0.4 / (2.0 * pi)
 
     @pytest.mark.parametrize(
@@ -284,28 +294,32 @@ class TestRowSum:
         + [pytest.param("power", 3, 2, 1000, id="power-3-2-bound1000")])
     def test_matches_four_unit_sum(self, weight, l, m, bound):
         # log-gaussian: the direct route of the incomplete series, which
-        # has no height power to factor, against the engine by inversion
+        # has no height power to factor, against the engine by inversion,
+        # at the one index k = -m; power: every k
         if weight == "power":
-            got = _row_sum_vector(l, m, self.Z, self.LAM, bound,
-                                  self.POWER_S)
+            ks = range(-l, l + 1)
+            got = np.array([_row_sum(l, k, m, self.KINV, self.Z, self.LAM,
+                                     bound, self.POWER_S) for k in ks])
             hweight = lambda h: h ** (1.0 + self.POWER_S)
         else:
-            got = self.psi_row_sum(l, m, bound)
+            ks = [-m]
+            got = np.array([self.psi_row_sum(l, -m, m, bound)])
             hweight = lambda h: np.asarray(self.PSI(h), dtype=complex)
-        want = row_sum_four_units(l, m, self.Z, self.LAM, bound, hweight)
+        vec = row_sum_four_units(l, m, self.Z, self.LAM, bound, hweight)
+        want = np.array([contract(l, k, self.KINV, vec) for k in ks])
         if m % 2:
             # the four unit rows of a class cancel: exactly in the engine,
             # to rounding in the reference
             assert np.all(got == 0.0)
-            assert np.max(np.abs(want)) <= 1e-12 * abs(hweight(self.LAM))
+            assert np.max(np.abs(vec)) <= 1e-12 * abs(hweight(self.LAM))
         else:
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(vec))
 
     @staticmethod
     def chunk_cuts(bound, chunk):
         """Position in its block (0: the block's d' = 0 row) of the first
         row of every chunk after the first, for the block layout of
-        _row_sum_vector: one block per canonical c', d' = 0 first."""
+        _row_sum: one block per canonical c', d' = 0 first."""
         re, im, norm = _lattice_arrays(bound)
         c_norm = norm[(re > 0) & (im >= 0)]
         count = np.searchsorted(np.append(0, norm), bound - c_norm,
@@ -325,9 +339,14 @@ class TestRowSum:
             # cuts at a block start, right after a d' = 0 row, and deeper
             # inside a block
             assert {0, 1} <= set(pos) and pos.max() >= 2
-        want = _row_sum_vector(2, 0, self.Z, self.LAM, bound, self.POWER_S)
+
+        def row_sums():
+            return np.array([_row_sum(2, k, 0, self.KINV, self.Z, self.LAM,
+                                      bound, self.POWER_S)
+                             for k in range(-2, 3)])
+        want = row_sums()
         monkeypatch.setattr(eisenstein, "ROW_CHUNK", chunk)
-        got = _row_sum_vector(2, 0, self.Z, self.LAM, bound, self.POWER_S)
+        got = row_sums()
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
@@ -338,21 +357,54 @@ class TestRowSum:
            s_re=st.floats(1.2, 3.0), s_im=st.floats(-20.0, 20.0))
     def test_matches_four_unit_sum_at_random_points(self, x, y, lam, lm,
                                                     s_re, s_im):
+        # at the identity rotation the row sum at the index k is the
+        # reference vector's entry k
         l, m = lm
         s = complex(s_re, s_im)
-        got = _row_sum_vector(l, m, complex(x, y), lam, 120, s)
+        got = np.array([_row_sum(l, k, m, SU2_IDENTITY, complex(x, y), lam,
+                                 120, s) for k in range(-l, l + 1)])
         want = row_sum_four_units(l, m, complex(x, y), lam, 120,
                                   lambda h: h ** (1.0 + s))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0),
+           lam=st.floats(0.3, 3.0),
+           rot=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+               lambda v: sum(c * c for c in v) > 1e-2),
+           lm=st.sampled_from([(l, m) for l in range(4)
+                               for m in range(-l, l + 1)]),
+           s_re=st.floats(1.2, 3.0), s_im=st.floats(-20.0, 20.0))
+    def test_matches_contracted_four_unit_sum_at_random_points(
+            self, x, y, lam, rot, lm, s_re, s_im):
+        # every k at a random rotation: the one Wigner entry per row at the
+        # product rotation against the contraction of all 2l+1 entries
+        l, m = lm
+        s = complex(s_re, s_im)
+        kinv = SU2Element(complex(rot[0], rot[1]), complex(rot[2], rot[3]))
+        got = np.array([_row_sum(l, k, m, kinv, complex(x, y), lam, 120, s)
+                        for k in range(-l, l + 1)])
+        vec = row_sum_four_units(l, m, complex(x, y), lam, 120,
+                                 lambda h: h ** (1.0 + s))
+        want = np.array([contract(l, k, kinv, vec)
+                         for k in range(-l, l + 1)])
+        if m % 2:
+            # the unit classes cancel: exactly in the engine, to rounding
+            # in the reference, against the identity coset's size
+            assert np.all(got == 0.0)
+            scale = abs(lam ** (1.0 + s))
+        else:
+            scale = np.max(np.abs(vec))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
     def test_peak_memory_of_one_call(self):
         # the rows are walked in chunks, never held all at once; a larger
         # chunk would show up in the benchmark's peak RSS
-        args = (3, 2, self.Z, self.LAM, 1000, self.POWER_S)
-        _row_sum_vector(*args)  # fills the lattice and Moebius caches
+        args = (3, 1, 2, self.KINV, self.Z, self.LAM, 1000, self.POWER_S)
+        _row_sum(*args)  # fills the lattice and Moebius caches
         tracemalloc.start()
         try:
-            _row_sum_vector(*args)
+            _row_sum(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,11 +419,13 @@ class TestRowSum:
             monkeypatch.setattr(module, "factor_gauss",
                                 lambda c: calls.append(c) or factor(c))
         lseries._canonical_mu_table.cache_clear()
-        got = _row_sum_vector(2, 2, self.Z, self.LAM, 301, self.POWER_S)
+        got = _row_sum(2, 1, 2, self.KINV, self.Z, self.LAM, 301,
+                       self.POWER_S)
         assert calls == []
-        want = row_sum_four_units(2, 2, self.Z, self.LAM, 301,
-                                  lambda h: h ** (1.0 + self.POWER_S))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        vec = row_sum_four_units(2, 2, self.Z, self.LAM, 301,
+                                 lambda h: h ** (1.0 + self.POWER_S))
+        want = contract(2, 1, self.KINV, vec)
+        assert abs(got - want) <= 1e-12 * np.max(np.abs(vec))
 
 
 class TestTwoRouteAgreement:

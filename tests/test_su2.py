@@ -1,6 +1,7 @@
 from fractions import Fraction
-from math import cos, pi, sqrt
+from math import comb, cos, factorial, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +9,7 @@ from picard_eisenstein.su2 import (
     SO3Matrix, SU2Element, SU2_IDENTITY, SpectralIndex, b_factor,
     euler_decompose, haar_grid, haar_integrate, phi_coeff, random_su2,
     rot_matrix, spin_cover, su2_from_euler, t_basis, t_modes,
-    wigner_column, wigner_D_euler, wigner_D_su2, wigner_monomial,
+    wigner_D_euler, wigner_D_su2, wigner_monomial,
     wigner_small_d, wigner_symmetries_check, _two,
 )
 
@@ -131,6 +132,46 @@ class TestWignerD:
                 assert np.max(np.abs(d @ d.conj().T - np.eye(tj + 1))) < 1e-12
 
 
+def wigner_column(tj, tm, alpha, beta):
+    """Every D^j_{am}, a = -j..j, on K[alpha, beta], an oracle independent
+    of the Horner sum of wigner_monomial: an array of shape
+    (2j+1,) + shape(alpha) whose row a + j is the coefficient of
+    x^{j+a} y^{j-a} in (p x + q y)^{j+m} (u x + v y)^{j-m}
+    (p, q, u, v = conj(alpha), -beta, conj(beta), alpha), normalized, by
+    convolving the two binomial expansions."""
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    jm, jmm = (tj + tm) // 2, (tj - tm) // 2
+    first = binomial_terms(alpha.conjugate(), -beta, jm)
+    second = binomial_terms(beta.conjugate(), alpha, jmm)
+    out = np.zeros((tj + 1,) + alpha.shape, dtype=complex)
+    for t in range(len(second)):
+        out[t:t + len(first)] += second[t] * first
+    norm = [sqrt(factorial(jk) * factorial(tj - jk)
+                 / (factorial(jm) * factorial(jmm))) for jk in range(tj + 1)]
+    return out * np.reshape(norm, (tj + 1,) + (1,) * alpha.ndim)
+
+
+def binomial_terms(x, y, n):
+    """C(n, t) x^t y^{n-t} for t = 0..n, stacked along a new first axis."""
+    return np.stack([comb(n, t) * x ** t * y ** (n - t)
+                     for t in range(n + 1)])
+
+
+def wigner_mpmath(tj, tk, tm, powers):
+    """D^j_{km} as the term sum of wigner_monomial in mpmath arithmetic,
+    from the lists of powers of p, q, u, v (see wigner_column)."""
+    p, q, u, v = powers
+    jm, jmm = (tj + tm) // 2, (tj - tm) // 2
+    jk, jkm = (tj + tk) // 2, (tj - tk) // 2
+    acc = mpmath.mpc(0)
+    for t in range(max(0, jk - jmm), min(jm, jk) + 1):
+        acc += (comb(jm, t) * comb(jmm, jk - t) * p[t] * q[jm - t]
+                * u[jk - t] * v[jmm - jk + t])
+    return acc * mpmath.sqrt(mpmath.mpf(factorial(jk) * factorial(jkm))
+                             / (factorial(jm) * factorial(jmm)))
+
+
 class TestWignerColumn:
     def test_matches_monomial_entries(self):
         # 50 seeded unit pairs, each entry against the one-entry evaluation
@@ -144,6 +185,43 @@ class TestWignerColumn:
                     for i, ta in enumerate(range(-tj, tj + 1, 2)):
                         want = wigner_monomial(tj, ta, tm, a.alpha, a.beta)
                         assert abs(col[i] - want) < 1e-13
+
+
+class TestWignerMonomial:
+    def test_array_shape_at_j0(self):
+        alpha = np.full((3, 2), 0.6 + 0.0j)
+        got = wigner_monomial(0, 0, 0, alpha, np.full((3, 2), 0.8j))
+        assert got.shape == (3, 2) and np.all(got == 1.0)
+        assert wigner_monomial(0, 0, 0, 0.6 + 0.0j, 0.8j) == 1.0
+
+    @pytest.mark.parametrize("tj, tol", [(20, 1e-13), (40, 2e-11),
+                                         (64, 5e-8)])
+    def test_matches_mpmath(self, tj, tol):
+        # 12 seeded unit pairs against the exact term sum at 60 digits, on
+        # the float inputs themselves. At 2j = 20 every entry; above, the
+        # rounding grows with the cancellation in the sum, largest at small
+        # |k|, |m|, so |2k|, |2m| <= 12 and the four corners
+        rng = np.random.default_rng(310577)
+        pairs = [random_su2(rng) for _ in range(12)]
+        alpha = np.array([a.alpha for a in pairs])
+        beta = np.array([a.beta for a in pairs])
+        two = [t for t in range(-tj, tj + 1, 2) if tj == 20 or abs(t) <= 12]
+        cases = [(tk, tm) for tk in two for tm in two]
+        if tj > 20:
+            cases += [(tk, tm) for tk in (-tj, tj) for tm in (-tj, tj)]
+        with mpmath.workdps(60):
+            powers = []
+            for a in pairs:
+                al, be = mpmath.mpc(a.alpha), mpmath.mpc(a.beta)
+                powers.append([[x ** n for n in range(tj + 1)]
+                               for x in (mpmath.conj(al), -be,
+                                         mpmath.conj(be), al)])
+            worst = max(
+                float(abs(wigner_mpmath(tj, tk, tm, pw) - got))
+                for tk, tm in cases
+                for pw, got in zip(powers,
+                                   wigner_monomial(tj, tk, tm, alpha, beta)))
+        assert worst <= tol
 
 
 class TestPhiCoeff:
