@@ -399,6 +399,9 @@ def cmd_eval(args) -> int:
         raise ValueError(f"point must be finite 'x,y,lam': {exc}") from None
     if not lam > 0:
         raise ValueError("point height must be positive")
+    # the Iwasawa coordinates of n[z] a[lam] carry 1/lam and z/lam
+    if not isfinite((2.0 + abs(complex(x, y))) / lam):
+        raise ValueError(f"height {lam} too small: (2+|z|)/height overflows")
     params = SeriesParams(index, s)
     g = (GroupElementSL2C.translation(complex(x, y))
          * GroupElementSL2C.dilation(lam))

@@ -25,7 +25,7 @@ from .gaussian import GaussInt
 from .h3 import GroupElementSL2C, iwasawa_decompose
 from .lseries import (MAX_NORM_BOUND, _canonical_mu_table, _lattice_arrays,
                       l_function_continued, sigma_twisted)
-from .specfun import bessel_k_complex_array, gamma_complex
+from .specfun import PoleError, bessel_k_complex_array, gamma_complex
 from .su2 import (SpectralIndex, SU2Element, b_factor, wigner_D_su2,
                   wigner_monomial, xi_weight)
 
@@ -238,8 +238,8 @@ def _constant_terms(l: int, k: int, m: int, s: complex) -> tuple:
         prod = 1.0 + 0.0j
         for j in range(abs(m) + 1, l + 1):
             prod *= (j - s)  # Gamma(1+l-s)/Gamma(1+|m|-s), pole-free form
-        lrat = l_function_continued(s, 2 * m) \
-            / l_function_continued(1.0 + s, 2 * m)
+        den = _l_denominator(s, m)
+        lrat = l_function_continued(s, 2 * m) / den
         # the degenerate (zero-frequency) coefficient carries the same
         # unit-class multiplicity as the leading term: its L-ratio is the
         # per-ideal value of the exponential lattice sum, whose four
@@ -252,6 +252,13 @@ def _constant_terms(l: int, k: int, m: int, s: complex) -> tuple:
     return tuple(out)
 
 
+def _l_denominator(s: complex, m: int) -> complex:
+    """L(1+s, 2m); PoleError at its trivial zeros, s <= -1 - max(1, |m|)."""
+    if s.imag == 0.0 and s.real == int(s.real) <= -1 - max(1, abs(m)):
+        raise PoleError(f"L(1+s, {2 * m}) vanishes at s = {s}")
+    return l_function_continued(1.0 + s, 2 * m)
+
+
 def _u_data(l: int, k: int, m: int, s: complex) -> tuple:
     out = []
     for u in range(0, l - max(abs(k), abs(m)) + 1):
@@ -259,12 +266,6 @@ def _u_data(l: int, k: int, m: int, s: complex) -> tuple:
         inv_gamma = 1.0 / gamma_complex(1.0 + l + s - u)
         out.append((xi, inv_gamma, s + l - abs(k + m) - u))
     return tuple(out)
-
-
-def _prefactor(l: int, k: int, m: int, s: complex) -> complex:
-    """(-1)^{l+m} i^{-k-m} (2 pi)^s B."""
-    return (-1.0) ** (l + m) * 1j ** (-k - m) * (2.0 * pi) ** s \
-        * b_factor(l, k, m)
 
 
 def fourier_expansion_terms(params: SeriesParams, norm_bound: int):
@@ -278,6 +279,7 @@ def fourier_expansion_terms(params: SeriesParams, norm_bound: int):
     allocated."""
     s = complex(params.s)
     m = params.lkm()[2]
+    l_den = 4.0 * _l_denominator(s, m)
     re, im, _ = _lattice_arrays(norm_bound)
     # multiply by -i until 2w lands in re > 0, im >= 0 (at most three turns)
     cre, cim = re.copy(), im.copy()
@@ -285,7 +287,6 @@ def fourier_expansion_terms(params: SeriesParams, norm_bound: int):
         turn = (cre <= 0) | (cim < 0)
         cre[turn], cim[turn] = cim[turn], -cre[turn]
     classes, cls_idx = np.unique(cre + 1j * cim, return_inverse=True)
-    l_den = 4.0 * l_function_continued(1.0 + s, 2 * m)
     d_class = np.array([16.0 * sigma_twisted(GaussInt(int(c.real),
                                                       int(c.imag)),
                                              m // 2, -s) / l_den
@@ -301,41 +302,23 @@ def _frequency_cut(s: complex) -> float:
     return -log(BESSEL_TOL) + 20.0 + pi * abs(s.imag) / 2.0
 
 
-def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
-    """Vectorized evaluator of the Fourier-Bessel expansion of the series at
-    the indices (l, a, m), a in rows, at heights lam >= lam_min.
-
-    Returns evaluate(zs, lams): the expansion on the outer product of the
-    points zs (complex) and the heights lams, of shape (len(rows),) +
-    shape(zs) + shape(lams). Terms decay like exp(-2 pi |2w| lam), so a
-    frequency enters only while 2 pi |2w| lam <= x_cut at the lowest height
-    of the call. That cut is the only truncation of the expansion: the
-    frequencies inside it at lam_min, |2w|^2 <= (x_cut / (2 pi lam_min))^2,
-    get their coefficients once, and a height whose need exceeds
-    MAX_NORM_BOUND is refused (ValueError) before anything is allocated.
-    The values are separable in (z, lam): the phases are formed on the
-    points and the Bessel factors on the heights, each distinct order once,
-    shared across the rows. The series vanishes identically for odd m.
-    """
+def _expansion(params: SeriesParams, rows, lam_min: float, re, im,
+               d_values, constant: bool):
+    """evaluate of fourier_evaluator over the frequencies 2w = re + i im
+    with d-values d: row a is the constant terms (if `constant`) plus
+    (-1)^{l+m} i^{-a-m} (2 pi)^s B sum_w d |w|^{s-1} (w/|w|)^{-a-m} sum_u
+    xi_u K_{s+l-|a+m|-u}(x) (x/2)^{1+l-u}/Gamma(1+l+s-u), x = 2 pi |2w| lam."""
     s = complex(params.s)
     l, _, m = params.lkm()
-    if m % 2:  # the series vanishes identically for odd m
-        return lambda zs, lams: np.zeros(
-            (len(rows),) + np.shape(zs) + np.shape(lams), dtype=complex)
     x_cut = _frequency_cut(s)
-    # compared before squaring: the square overflows at tiny heights
-    if lam_min < x_cut / (2.0 * pi * sqrt(MAX_NORM_BOUND + 1)):
-        raise ValueError(f"lattice norm bound (x_cut / (2 pi lam))^2 at "
-                         f"height {lam_min} exceeds {MAX_NORM_BOUND}")
-    re, im, d_values = fourier_expansion_terms(
-        params, int((x_cut / (2.0 * pi * lam_min)) ** 2))
     norm = re * re + im * im
     wc = (re + 1j * im) / 2.0
     absw = np.abs(wc)
     dcoef = d_values * absw ** (s - 1.0)
-    row_data = [(_constant_terms(l, a, m, s),
+    row_data = [(_constant_terms(l, a, m, s) if constant else (),
                  _u_data(l, a, m, s), dcoef * (wc / absw) ** (-a - m),
-                 _prefactor(l, a, m, s)) for a in rows]
+                 (-1.0) ** (l + m) * 1j ** (-a - m) * (2.0 * pi) ** s
+                 * b_factor(l, a, m)) for a in rows]
 
     def evaluate(zs, lams) -> np.ndarray:
         za = np.asarray(zs, dtype=complex)
@@ -367,6 +350,53 @@ def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
                 "zj,jl->zl", phase * coef[keep], rad[n_inv])
         return out.reshape((len(rows),) + za.shape + la.shape)
     return evaluate
+
+
+def fourier_evaluator(params: SeriesParams, rows, lam_min: float):
+    """Vectorized evaluator of the Fourier-Bessel expansion of the series at
+    the indices (l, a, m), a in rows, at heights lam >= lam_min.
+
+    Returns evaluate(zs, lams): the expansion on the outer product of the
+    points zs (complex) and the heights lams, of shape (len(rows),) +
+    shape(zs) + shape(lams). Terms decay like exp(-2 pi |2w| lam), so a
+    frequency enters only while 2 pi |2w| lam <= x_cut at the lowest height
+    of the call. That cut is the only truncation of the expansion: the
+    frequencies inside it at lam_min, |2w|^2 <= (x_cut / (2 pi lam_min))^2,
+    get their coefficients once, and a height whose need exceeds
+    MAX_NORM_BOUND is refused (ValueError) before anything is allocated.
+    The values are separable in (z, lam): the phases are formed on the
+    points and the Bessel factors on the heights, each distinct order once,
+    shared across the rows. The series vanishes identically for odd m.
+    """
+    if params.lkm()[2] % 2:  # the series vanishes identically for odd m
+        return lambda zs, lams: np.zeros(
+            (len(rows),) + np.shape(zs) + np.shape(lams), dtype=complex)
+    x_cut = _frequency_cut(complex(params.s))
+    # compared before squaring: the square overflows at tiny heights
+    if lam_min < x_cut / (2.0 * pi * sqrt(MAX_NORM_BOUND + 1)):
+        raise ValueError(f"lattice norm bound (x_cut / (2 pi lam))^2 at "
+                         f"height {lam_min} exceeds {MAX_NORM_BOUND}")
+    return _expansion(params, rows, lam_min, *fourier_expansion_terms(
+        params, int((x_cut / (2.0 * pi * lam_min)) ** 2)), True)
+
+
+def fourier_mode(params: SeriesParams, a: int, two_w: tuple):
+    """Height profile of the mode exp(-4 pi i Re(z w)) at the index (l, a, m):
+    profile(lams) is the mean of E(z + lam j) exp(4 pi i Re(z w)) over the
+    unit square, on heights of any shape: the constant term at 2w = 0, else
+    the term of 2w in _expansion, from the frequencies up to |2w|^2."""
+    s = complex(params.s)
+    l, _, m = params.lkm()
+    norm = two_w[0] ** 2 + two_w[1] ** 2
+    if norm == 0 or m % 2:
+        consts = () if m % 2 else _constant_terms(l, a, m, s)
+        return lambda lams: sum(
+            (ct.coefficient * np.asarray(lams, dtype=float) ** ct.exponent
+             for ct in consts), np.zeros(np.shape(lams), dtype=complex))
+    re, im, d_values = fourier_expansion_terms(params, norm)
+    j = np.flatnonzero((re == two_w[0]) & (im == two_w[1]))
+    ev = _expansion(params, [a], 0.0, re[j], im[j], d_values[j], False)
+    return lambda lams: ev(0.0, lams)[0]
 
 
 def eisenstein_fourier_group(params: SeriesParams,

@@ -6,8 +6,8 @@ maps; reduction of points to the fundamental domain together with the
 rotation cocycle picked up along the way; a lattice-invariant construction
 that averages a band-limited seed over those reductions; two independent
 height-Mellin evaluations of such a function (a literal volume integral
-over the unit strip, and a pairing against the continued series, from the
-expansion evaluator of the eisenstein module, over a height box); the
+over the unit strip, and a pairing against the Fourier modes of the
+continued series from the eisenstein module, over a height box); the
 explicit pairing of a synthetic cusp form against the degenerate spectral
 measure at parameter t; the incomplete-series pairing with its logarithmic
 main term split off; and the t-scan loop behind the command-line scan.
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .eisenstein import (SeriesParams, TestFunctionPsi, _constant_terms,
-                         fourier_evaluator)
+                         fourier_mode)
 from .h3 import (GroupElementSL2C, H3Point, QuadResult, frame_transport,
                  integrate_dV)
 from .lseries import (SyntheticCuspCoefficients, l_function_continued,
@@ -262,17 +262,6 @@ class SeedMode:
         return Fraction(self.two_m, 2)
 
 
-def band_coefficient(psi: TestFunctionPsi, amplitude: complex = 1.0,
-                     frequency: tuple = (0, 0)):
-    """Coefficient callable of a plain (non-averaged) band seed."""
-    f1, f2 = frequency
-
-    def coefficient(p: H3Point) -> complex:
-        return (complex(amplitude) * cos(2.0 * pi * (f1 * p.x + f2 * p.y))
-                * float(psi(p.lam)))
-    return coefficient
-
-
 @dataclass(frozen=True)
 class InvariantFiberFunction(FiberFunction):
     """Result of averaging band seeds over reductions; carries the seed data
@@ -413,28 +402,31 @@ def mellin_eisenstein_result(f: InvariantFiberFunction,
     """Spectral route: the same transform written as a pairing of each seed
     against the continued series over the band box. Unfolding the strip to
     the quotient and back to the box turns the seed (l, k, m) into the
-    series at index (l/2, -m, -k) with the sign (-1)^{m-k}; the two routes
-    share no code beyond the test function itself."""
+    series at index (l/2, -m, -k) with the sign (-1)^{m-k}. On the unit
+    square the seed's cos(2 pi (f1 x + f2 y)) meets only the modes
+    2w = +-(f1, -f2) of the series, half each (the constant term at f = 0),
+    so each seed takes one height quadrature (integrate_dV, as the direct
+    route) of psi times those mode profiles."""
     if not isinstance(f, InvariantFiberFunction):
         raise TypeError("the spectral route needs an invariant function")
     s = complex(s)
     if s.real <= 1.0:
         raise ValueError("the strip transform needs Re(s) > 1")
     lo, hi = f.band
+    psi = f.psi
     total = 0.0 + 0.0j
     err = 0.0
     for sd in f.seeds:
         if (sd.two_k // 2) % 2:
             continue  # odd k: the paired series vanishes identically
         params = SeriesParams(SpectralIndex(sd.l, -sd.two_m, -sd.two_k), s)
-        series = fourier_evaluator(params, [params.lkm()[1]], lo)
-        f1, f2 = sd.frequency
-        psi = f.psi
+        f1, f2 = map(int, sd.frequency)
+        modes = [fourier_mode(params, params.lkm()[1], two_w) for two_w in
+                 ([(0, 0)] if f1 == f2 == 0 else [(f1, -f2), (-f1, f2)])]
 
-        def gv(xs, ys, lams, _ev=series, _f1=f1, _f2=f2):
-            # a box grid: (P, 1) points against a (1, Q) row of heights
-            return (np.cos(2.0 * pi * (_f1 * xs + _f2 * ys)) * psi(lams)
-                    * _ev(np.ravel(xs + 1j * ys), np.ravel(lams))[0])
+        def gv(xs, ys, lams, _modes=modes):
+            # the mean over the unit square: a (1, Q) row of heights
+            return psi(lams) * (sum(p(lams) for p in _modes) / len(_modes))
 
         coefmag = 4.0 * abs(sd.amplitude) * sqrt((sd.l + 1) / TWO_PI_SQ)
         scale = coefmag * abs(complex(psi.mellin(1.0 - s.real))) * 8.0 + 1e-12

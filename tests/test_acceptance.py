@@ -287,6 +287,7 @@ class TestCriterion12Determinism:
         # fresh interpreters with different string-hash seeds
         src = str(Path(eisenstein.__file__).resolve().parents[1])
         runs = {"lattice": ["verify", "lattice", "--format", "json"],
+                "mellin": ["verify", "mellin", "--format", "json"],
                 "cusp": ["scan", "--task", "cusp", "--t-min", "20",
                          "--t-max", "80", "--steps", "4", "--format",
                          "json"]}

@@ -101,6 +101,28 @@ class TestEval:
         assert (code, out) == (2, "")
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--route", "fourier", "--point", "0,0,5e-324"),
+        ("--route", "coset", "--s-re", "2", "--point", "0,0,5e-324"),
+        ("--route", "both", "--point", "1e300,0,1e-10")])
+    def test_height_without_iwasawa_coordinates_refused(self, capsys, argv):
+        # 1/lam or z/lam is not a finite float: refused before the group
+        # element is decomposed, on both routes
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert "too small" in err
+
+    @pytest.mark.parametrize("lkm, s_re, n", [
+        ((0, 0, 0), "-2", 0), ((0, 0, 0), "-5", 0),
+        ((2, 2, 2), "-3", 4), ((2, -2, 2), "-4", 4)])
+    def test_vanishing_l_denominator_refused(self, capsys, lkm, s_re, n):
+        # trivial zeros of L(1+s, 2m), by which the coefficients divide
+        l, k, m = (str(v) for v in lkm)
+        code, out, err = run(capsys, "eval", "--route", "fourier", "--l", l,
+                             "--k", k, "--m", m, "--s-re", s_re)
+        assert (code, out) == (2, "")
+        assert f"L(1+s, {n}) vanishes" in err
+
     def test_coset_route_needs_convergence(self, capsys):
         code, _, err = run(capsys, "eval", "--route", "coset",
                            "--s-re", "0.5")

@@ -18,6 +18,7 @@ from picard_eisenstein.eisenstein import (
 from picard_eisenstein.gaussian import GaussInt
 from picard_eisenstein.h3 import GroupElementSL2C, H3Point, iwasawa_decompose
 from picard_eisenstein.lseries import MAX_NORM_BOUND, _lattice_arrays
+from picard_eisenstein.specfun import PoleError
 from picard_eisenstein.su2 import (
     SU2_IDENTITY, SpectralIndex, SU2Element, b_factor, random_su2,
     wigner_D_su2, wigner_monomial, xi_weight,
@@ -472,6 +473,17 @@ class TestTwoRouteAgreement:
 
 
 class TestFourierExpansion:
+    @pytest.mark.parametrize("lkm, s, n", [((0, 0, 0), -2.0, 0),
+                                           ((2, -2, 2), -3.0, 4)])
+    def test_vanishing_l_denominator_raises_pole_error(self, lkm, s, n):
+        # at a trivial zero of L(1+s, 2m) both the degenerate constant term
+        # and the frequency coefficients would divide by zero
+        params = SeriesParams(SpectralIndex.make(*lkm), s)
+        with pytest.raises(PoleError, match=rf"L\(1\+s, {n}\) vanishes"):
+            _constant_terms(*lkm, complex(s))
+        with pytest.raises(PoleError, match=rf"L\(1\+s, {n}\) vanishes"):
+            fourier_expansion_terms(params, 4)
+
     def test_constant_terms_dominate_high_up(self):
         p = H3Point(0.1, -0.2, 20.0)
         params = SeriesParams(SpectralIndex.make(0, 0, 0), 2.0)

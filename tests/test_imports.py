@@ -24,7 +24,7 @@ TEST_ONLY = {
     "h3": {"GROUP_IDENTITY", "hyperbolic_distance", "in_fundamental_domain",
            "mobius_act"},
     "lseries": {"zeta_K"},
-    "microlocal": {"band_coefficient", "fiber_coefficients"},
+    "microlocal": {"fiber_coefficients"},
     "specfun": {"bessel_k_complex", "bessel_k_half", "kk_mellin_integral"},
     "su2": {"wigner_D_euler"},
 }
@@ -37,7 +37,6 @@ UNSET_DEFAULTS = {
     ("cli", "main"): {"argv"},
     ("h3", "in_fundamental_domain"): {"tol"},
     ("lseries", "zeta_K"): {"truncation"},
-    ("microlocal", "band_coefficient"): {"amplitude", "frequency"},
     ("microlocal", "fiber_coefficients"): {"cross_check", "grid", "tol"},
     ("specfun", "bessel_k_complex"): {"tol"},
 }

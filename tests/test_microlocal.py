@@ -5,14 +5,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from picard_eisenstein import microlocal
-from picard_eisenstein.eisenstein import TestFunctionPsi
+from picard_eisenstein import eisenstein, microlocal
+from picard_eisenstein.eisenstein import (SeriesParams, TestFunctionPsi,
+                                          fourier_evaluator, fourier_mode)
 from picard_eisenstein.h3 import (
-    GroupElementSL2C, H3Point, frame_transport, mobius_act,
+    GroupElementSL2C, H3Point, QuadResult, frame_transport, integrate_dV,
+    mobius_act,
 )
 from picard_eisenstein.microlocal import (
-    ZETA_K_CONSTANT_TERM, CuspFormSpec, FiberFunction, FiberMode, SeedMode,
-    band_coefficient, cusp_pairing_formula, fiber_coefficients,
+    TWO_PI_SQ, ZETA_K_CONSTANT_TERM, CuspFormSpec, FiberFunction, FiberMode,
+    SeedMode, cusp_pairing_formula, fiber_coefficients,
     gamma_factor_block, incomplete_pairing, invariant_fiber_function,
     main_term_coefficient, mellin_direct_result, mellin_eisenstein_result,
     mock_l_provider, reduce_to_fundamental, scan_t, verify_lemma_integral,
@@ -34,6 +36,17 @@ RNG = np.random.default_rng(771002)
 # band weight used throughout: high enough that the reduced band only meets
 # its translates, narrow enough that the strip quadrature stays cheap
 BAND_PSI = TestFunctionPsi(center=3.3, width=0.3)
+
+
+def band_coefficient(psi: TestFunctionPsi, amplitude: complex = 1.0,
+                     frequency: tuple = (0, 0)):
+    """Coefficient callable of a plain (non-averaged) band seed."""
+    f1, f2 = frequency
+
+    def coefficient(p: H3Point) -> complex:
+        return (complex(amplitude) * cos(2.0 * pi * (f1 * p.x + f2 * p.y))
+                * float(psi(p.lam)))
+    return coefficient
 
 
 def random_gamma(rng, length=6):
@@ -365,6 +378,163 @@ class TestTwoRouteMellin:
         assert abs(mellin_eisenstein_result(f, 1.5).value) < 1e-12
         assert abs(mellin_direct_result(f, 1.5).value) < 1e-6
 
+
+def mellin_eisenstein_oracle(f, s) -> QuadResult:
+    """The spectral route as a 2-D pairing, without torus orthogonality:
+    each seed's cos(2 pi (f1 x + f2 y)) psi(lam) against the whole
+    expansion of its series on the Gauss-Legendre grid of the band box,
+    with the tolerance, scale and constants of mellin_eisenstein_result."""
+    s = complex(s)
+    lo, hi = f.band
+    total, err = 0.0 + 0.0j, 0.0
+    for sd in f.seeds:
+        if (sd.two_k // 2) % 2:
+            continue
+        params = SeriesParams(SpectralIndex(sd.l, -sd.two_m, -sd.two_k), s)
+        series = fourier_evaluator(params, [params.lkm()[1]], lo)
+        f1, f2 = sd.frequency
+
+        def gv(xs, ys, lams, _ev=series, _f1=f1, _f2=f2):
+            # (P, 1) points against a (1, Q) row of heights
+            return (np.cos(2.0 * pi * (_f1 * xs + _f2 * ys)) * f.psi(lams)
+                    * _ev(np.ravel(xs + 1j * ys), np.ravel(lams))[0])
+
+        coefmag = 4.0 * abs(sd.amplitude) * sqrt((sd.l + 1) / TWO_PI_SQ)
+        scale = (coefmag * abs(complex(f.psi.mellin(1.0 - s.real))) * 8.0
+                 + 1e-12)
+        quad = integrate_dV(gv, ("box", lo, hi), tol=1e-4 * scale,
+                            vectorized=True)
+        coef = ((-1.0) ** ((sd.two_m - sd.two_k) // 2)
+                * sqrt((sd.l + 1) / TWO_PI_SQ) * complex(sd.amplitude))
+        total += coef * quad.value
+        err += abs(coef) * quad.error_estimate
+    return QuadResult(total, err)
+
+
+def unit_square_grid(params, lam: float):
+    """The expansion (row k) at height lam on 64 x 64 Gauss-Legendre nodes
+    of the unit square: mean(weight) is the mean of its product with
+    weight(x, y)."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    xs, ys = np.meshgrid(x, x, indexing="ij")
+    ev = fourier_evaluator(params, [params.lkm()[1]], lam)
+    vals = np.outer(w, w) * ev((xs + 1j * ys).ravel(), lam)[0].reshape(
+        xs.shape)
+    return lambda weight: complex(np.sum(vals * weight(xs, ys)))
+
+
+MODE_FREQUENCIES = ((0, 0), (1, 0), (2, -1), (1, 1), (-1, 2))
+
+
+def mellin_shaped_functions(seed: int, count: int) -> list:
+    """Invariant functions drawn like the ops of the height_mellin
+    benchmark: Re s in [1.4, 2.5], a log-gaussian band of centre in
+    [2.8, 3.6] and width in [0.2, 0.33], the scalar seed plus up to two
+    seeds with signed rows, amplitudes in [0.3, 1] and frequencies in
+    {0, 1}^2."""
+    rng = np.random.default_rng(seed)
+    shapes = ((2, 0, 0), (4, 4, 4), (2, 2, 0), (4, 0, 4), (4, 2, 0),
+              (4, 4, 0), (4, 0, 0), (4, 2, 4), (0, 0, 0))
+    out = []
+    for i in range(count):
+        seeds = [SeedMode(0, 0, 0)]
+        for _ in range(i % 3):
+            l, two_k, two_m = shapes[rng.integers(len(shapes))]
+            seeds.append(SeedMode(
+                l, two_k * int(rng.choice((-1, 1))),
+                two_m * int(rng.choice((-1, 1))),
+                complex(rng.uniform(0.3, 1.0)),
+                tuple(int(v) for v in rng.integers(0, 2, 2))))
+        psi = TestFunctionPsi(center=float(rng.uniform(2.8, 3.6)),
+                              width=float(rng.uniform(0.2, 0.33)))
+        out.append((invariant_fiber_function(seeds, psi),
+                    float(rng.uniform(1.4, 2.5))))
+    return out
+
+
+class TestSpectralMellin:
+    @pytest.mark.parametrize("lkm", [(0, 0, 0), (2, 0, 2), (2, 2, 0),
+                                     (4, 2, -2)])
+    @pytest.mark.parametrize("s", [1.5, 2 + 3j, 7j])
+    def test_mode_profile_matches_unit_square_quadrature(self, lkm, s):
+        # below the benchmark's band, where the nonzero frequencies are
+        # large enough to show a wrong sign or a wrong coefficient
+        params = SeriesParams(SpectralIndex.make(*lkm), s)
+        k = lkm[1]
+        for lam in (0.6, 1.2):
+            mean = unit_square_grid(params, lam)
+            for f1, f2 in MODE_FREQUENCIES:
+                w = complex(f1, f2) / 2.0
+                ref = mean(lambda x, y: np.exp(
+                    4j * pi * np.real((x + 1j * y) * w)))
+                got = complex(fourier_mode(params, k, (f1, f2))(lam))
+                assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), \
+                    (lam, f1, f2, got, ref)
+                # the seed's cosine meets the modes +-(f1, -f2), half each
+                ref = mean(lambda x, y: np.cos(2.0 * pi * (f1 * x + f2 * y)))
+                modes = {(f1, -f2), (-f1, f2)}
+                got = sum(complex(fourier_mode(params, k, m)(lam))
+                          for m in modes) / len(modes)
+                assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref)), \
+                    (lam, f1, f2, got, ref)
+
+    @pytest.mark.parametrize("lkm", [(2, 0, 2), (2, 2, 0), (4, 4, 0),
+                                     (4, 0, -2)])
+    def test_constant_profile_without_constant_term_is_zero_array(self,
+                                                                  lkm):
+        # k != +-m: no constant term, and still an array of the heights
+        params = SeriesParams(SpectralIndex.make(*lkm), 1.5)
+        profile = fourier_mode(params, lkm[1], (0, 0))
+        for lams in (np.array([[1.7, 2.0, 3.5]]), np.array([2.0, 4.0])):
+            out = profile(lams)
+            assert isinstance(out, np.ndarray) and out.shape == lams.shape
+            assert out.dtype == complex and not out.any()
+
+    def test_matches_two_dimensional_oracle(self):
+        for f, s in mellin_shaped_functions(31, 9):
+            got = mellin_eisenstein_result(f, s)
+            want = mellin_eisenstein_oracle(f, s)
+            assert abs(got.value - want.value) <= 1e-12 * abs(want.value), \
+                (s, got.value, want.value)
+
+    def test_asks_only_for_the_seed_frequencies(self, monkeypatch):
+        bounds = []
+        inner = eisenstein.fourier_expansion_terms
+
+        def recording(params, norm_bound):
+            bounds.append(norm_bound)
+            return inner(params, norm_bound)
+
+        monkeypatch.setattr(eisenstein, "fourier_expansion_terms", recording)
+        seeds = [SeedMode(0, 0, 0), SeedMode(2, 0, 0, 0.5, (1, 1)),
+                 SeedMode(4, 0, 4, 0.7, (2, -1)),
+                 SeedMode(4, 4, 4, 0.4, (0, 0))]
+        f = invariant_fiber_function(seeds, BAND_PSI)
+        mellin_eisenstein_result(f, 1.8)
+        norms = {sd.frequency[0] ** 2 + sd.frequency[1] ** 2 for sd in seeds}
+        assert bounds and set(bounds) <= norms - {0}
+
+
+    def test_pairs_each_seed_with_its_cosine_modes(self, monkeypatch):
+        # values in a band above 1.5 cannot show the sign convention (the
+        # nonzero modes are 1e-13 of the constant term or less there), so
+        # the modes asked for are pinned; the mode-profile test shows that
+        # this pair is the seed's cosine
+        asked = []
+        inner = microlocal.fourier_mode
+
+        def recording(params, a, two_w):
+            asked.append((params.index.two_l, two_w))
+            return inner(params, a, two_w)
+
+        monkeypatch.setattr(microlocal, "fourier_mode", recording)
+        f = invariant_fiber_function(
+            [SeedMode(0, 0, 0), SeedMode(2, 0, 0, 0.5, (1, 1)),
+             SeedMode(4, 0, 4, 0.7, (2.0, -1.0))], BAND_PSI)
+        mellin_eisenstein_result(f, 1.8)
+        assert asked == [(0, (0, 0)), (2, (1, -1)), (2, (-1, 1)),
+                         (4, (2, 1)), (4, (-2, -1))]
 
 class TestCuspPairing:
     SPEC = CuspFormSpec(SpectralIndex.make(2, 0, 0), r=1.3)
