@@ -515,7 +515,6 @@ class TestSpectralMellin:
         norms = {sd.frequency[0] ** 2 + sd.frequency[1] ** 2 for sd in seeds}
         assert bounds and set(bounds) <= norms - {0}
 
-
     def test_pairs_each_seed_with_its_cosine_modes(self, monkeypatch):
         # values in a band above 1.5 cannot show the sign convention (the
         # nonzero modes are 1e-13 of the constant term or less there), so
@@ -535,6 +534,7 @@ class TestSpectralMellin:
         mellin_eisenstein_result(f, 1.8)
         assert asked == [(0, (0, 0)), (2, (1, -1)), (2, (-1, 1)),
                          (4, (2, 1)), (4, (-2, -1))]
+
 
 class TestCuspPairing:
     SPEC = CuspFormSpec(SpectralIndex.make(2, 0, 0), r=1.3)
